@@ -39,16 +39,6 @@ import (
 	"repro/scenarios"
 )
 
-func specByName(name string) (*model.Spec, bool) {
-	for _, s := range model.Zoo() {
-		if strings.EqualFold(s.Name, name) ||
-			strings.EqualFold(strings.ReplaceAll(s.Name, "GPT2-", "gpt2-"), name) {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
 // loadScenario resolves a name to a scenario: a file on disk first,
 // then the committed scenarios/ set.
 func loadScenario(name string) (*scenario.Scenario, error) {
@@ -91,10 +81,12 @@ func listScenarios() {
 }
 
 // runOutcome is what an executed scenario hands the CLI: the printable
-// report pieces plus the telemetry state the exporters read.
+// report plus the telemetry state the exporters read.
 type runOutcome struct {
-	summary    string
-	jsonBytes  func() ([]byte, error)
+	report interface {
+		Summary() string
+		JSON() ([]byte, error)
+	}
 	violations []string
 	series     *obs.SeriesSet
 	html       func() []byte
@@ -108,49 +100,44 @@ type runOutcome struct {
 // paths). Fleet-mode scenarios go through the arbiter; -state is a
 // single-job facility only.
 func observedRun(sc *scenario.Scenario, stateDir string, tr *obs.Tracer, met *obs.Metrics, forceTelemetry bool) (*runOutcome, error) {
-	if sc.Fleet != nil {
+	var c interface {
+		EnableTelemetry()
+		Observe(*obs.Tracer, *obs.Metrics)
+	}
+	var run func() (*runOutcome, error)
+	if sc.Fleet == nil {
+		cs, err := scenario.Compile(sc)
+		if err != nil {
+			return nil, err
+		}
+		c, run = cs, func() (*runOutcome, error) {
+			res, err := cs.Run(stateDir)
+			if err != nil {
+				return nil, err
+			}
+			return &runOutcome{res.Report, res.Report.Violations, cs.Series, res.HTML}, nil
+		}
+	} else {
 		if stateDir != "" {
 			return nil, fmt.Errorf("-state is not supported for fleet scenarios")
 		}
-		c, err := scenario.CompileFleet(sc)
+		cf, err := scenario.CompileFleet(sc)
 		if err != nil {
 			return nil, err
 		}
-		if forceTelemetry {
-			c.EnableTelemetry()
+		c, run = cf, func() (*runOutcome, error) {
+			res, err := cf.Run()
+			if err != nil {
+				return nil, err
+			}
+			return &runOutcome{res.Report, res.Report.Violations, cf.Series, res.HTML}, nil
 		}
-		c.Observe(tr, met)
-		res, err := c.Run()
-		if err != nil {
-			return nil, err
-		}
-		return &runOutcome{
-			summary:    res.Report.Summary(),
-			jsonBytes:  res.Report.JSON,
-			violations: res.Report.Violations,
-			series:     c.Series,
-			html:       res.HTML,
-		}, nil
-	}
-	c, err := scenario.Compile(sc)
-	if err != nil {
-		return nil, err
 	}
 	if forceTelemetry {
 		c.EnableTelemetry()
 	}
 	c.Observe(tr, met)
-	res, err := c.Run(stateDir)
-	if err != nil {
-		return nil, err
-	}
-	return &runOutcome{
-		summary:    res.Report.Summary(),
-		jsonBytes:  res.Report.JSON,
-		violations: res.Report.Violations,
-		series:     c.Series,
-		html:       res.HTML,
-	}, nil
+	return run()
 }
 
 // runScenario implements `varuna-sim run <scenario>`: load (from disk
@@ -201,7 +188,7 @@ func runScenario(args []string) int {
 		fmt.Fprintln(os.Stderr, "varuna-sim run:", err)
 		return 1
 	}
-	fmt.Print(out.summary)
+	fmt.Print(out.report.Summary())
 
 	if *traceOut != "" {
 		if err := writeTrace(tr, met, *traceOut); err != nil {
@@ -217,7 +204,7 @@ func runScenario(args []string) int {
 		fmt.Printf("html:      report → %s\n", *htmlOut)
 	}
 	if *jsonOut != "" {
-		data, err := out.jsonBytes()
+		data, err := out.report.JSON()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "varuna-sim run:", err)
 			return 1
@@ -264,7 +251,7 @@ func metricsScenario(args []string) int {
 		fmt.Fprintln(os.Stderr, "varuna-sim metrics:", err)
 		return 1
 	}
-	fmt.Print(out.summary)
+	fmt.Print(out.report.Summary())
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, "varuna-sim metrics:", err)
@@ -340,7 +327,7 @@ func traceScenario(args []string) int {
 		fmt.Fprintln(os.Stderr, "varuna-sim trace:", err)
 		return 1
 	}
-	fmt.Print(res.summary)
+	fmt.Print(res.report.Summary())
 	if err := writeTrace(tr, met, path); err != nil {
 		fmt.Fprintln(os.Stderr, "varuna-sim trace:", err)
 		return 1
@@ -369,7 +356,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	flag.Parse()
 
-	spec, ok := specByName(*modelName)
+	spec, ok := model.ByName(*modelName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "varuna-sim: unknown model %q; available:\n", *modelName)
 		for _, s := range model.Zoo() {

@@ -33,7 +33,7 @@ func TestMetricsExportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for file, got := range map[string][]byte{
-		"region-failover.metrics.om":  obs.OpenMetrics(met.Snapshot(obs.SimOnly), out.series),
+		"region-failover.metrics.om": obs.OpenMetrics(met.Snapshot(obs.SimOnly), out.series),
 		"region-failover.series.csv": out.series.CSV(),
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", file))

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // HistoryEntry is one green-run summary line in bench/history.jsonl:
@@ -38,22 +40,10 @@ func NewHistoryEntry(reports []Report) HistoryEntry {
 		return e
 	}
 	sort.Float64s(vals)
-	e.P50 = quantileNearestRank(vals, 0.50)
-	e.P99 = quantileNearestRank(vals, 0.99)
+	e.P50 = obs.Quantile(vals, 0.50)
+	e.P99 = obs.Quantile(vals, 0.99)
 	e.Max = vals[len(vals)-1]
 	return e
-}
-
-// quantileNearestRank is the nearest-rank quantile of sorted vals.
-func quantileNearestRank(vals []float64, q float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(vals)-1) + 0.5)
-	if idx >= len(vals) {
-		idx = len(vals) - 1
-	}
-	return vals[idx]
 }
 
 // LoadHistory reads a history.jsonl file. A missing file is an empty
@@ -126,7 +116,7 @@ func Drift(hist []HistoryEntry, cur HistoryEntry, factor float64) []string {
 			continue
 		}
 		sort.Float64s(samples)
-		med := quantileNearestRank(samples, 0.50)
+		med := obs.Quantile(samples, 0.50)
 		if ms := cur.Runs[id]; med > 0 && ms > factor*med {
 			out = append(out, fmt.Sprintf("%s: %.0fms vs historical median %.0fms over %d run(s) (%.1fx)",
 				id, ms, med, len(samples), ms/med))

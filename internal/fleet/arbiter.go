@@ -121,18 +121,7 @@ func newArbiter(mk *spot.Market, jobs []*Job, opts Options) *arbiter {
 		a.trkArb = a.tr.Track("arbiter")
 	}
 	for i, j := range jobs {
-		if opts.Trace != nil {
-			j.Mgr.Opts.Trace = opts.Trace
-			j.Mgr.Opts.TraceTrack = opts.Trace.Track("job:" + j.Name)
-		}
-		if opts.Metrics != nil {
-			j.Mgr.Opts.Metrics = opts.Metrics
-		}
-		if opts.Series != nil {
-			j.Mgr.Opts.Series = opts.Series
-			j.Mgr.Opts.SeriesPrefix = j.Name + "/"
-			j.Mgr.Opts.SampleEvery = opts.SampleEvery
-		}
+		j.observe(opts)
 		a.jobs = append(a.jobs, &jobState{
 			idx:      i,
 			cfg:      j,

@@ -20,8 +20,9 @@
 // With a single job the arbiter collapses to the direct-market path:
 // no competing job means no contention, no revocation and no re-lease,
 // so the pool's event stream is job-independent and is pretraced with
-// spot.EventTrace — bit-identical to running the manager against the
-// market directly (golden-pinned by the scenario parity tests).
+// spot.EventTrace and handed to Replay, the one-tenant replay every
+// single-job scenario also runs through (golden-pinned by the scenario
+// parity tests).
 package fleet
 
 import (
@@ -107,12 +108,6 @@ type Options struct {
 	// wall-clock arbiter-tick self-profiling histogram
 	// ("wall.arbiter.tick_us").
 	Metrics *obs.Metrics
-	// Series, when non-nil, receives every job's continuous telemetry
-	// samples under a "<job>/" name prefix; SampleEvery sets the
-	// cadence (0 = the manager default). Nil changes nothing: the run
-	// is bit-identical to an unsampled one.
-	Series      *obs.SeriesSet
-	SampleEvery simtime.Duration
 }
 
 // JobResult is one job's view of a fleet run.
@@ -177,30 +172,26 @@ func Run(mk *spot.Market, jobs []*Job, opts Options) (*Result, error) {
 		}
 	}
 	if len(jobs) == 1 && len(opts.Preempts) == 0 && len(opts.Outages) == 0 {
-		return runSingle(mk, jobs[0], opts)
+		// The single-tenant collapse: with no competitor there is
+		// nothing to arbitrate, and the pool stream is independent of
+		// anything the job does (releases stay lame-duck holds, exactly
+		// as the direct path models them), so the whole trace is
+		// pregenerated and replayed.
+		j := jobs[0]
+		return Replay(j, spot.EventTrace(mk, j.TargetGPUs, opts.Horizon, opts.Probe), opts)
 	}
 	return newArbiter(mk, jobs, opts).run()
 }
 
-// runSingle is the single-tenant collapse: with no competitor there is
-// nothing to arbitrate — the pool stream is independent of anything
-// the job does (releases stay lame-duck holds, exactly as the direct
-// path models them), so the whole trace is pregenerated and the
-// manager replays it bit-identically to core.Job.RunOnSpotMarket.
-func runSingle(mk *spot.Market, j *Job, opts Options) (*Result, error) {
-	if opts.Trace != nil {
-		j.Mgr.Opts.Trace = opts.Trace
-		j.Mgr.Opts.TraceTrack = opts.Trace.Track("job:" + j.Name)
-	}
-	if opts.Metrics != nil {
-		j.Mgr.Opts.Metrics = opts.Metrics
-	}
-	if opts.Series != nil {
-		j.Mgr.Opts.Series = opts.Series
-		j.Mgr.Opts.SeriesPrefix = j.Name + "/"
-		j.Mgr.Opts.SampleEvery = opts.SampleEvery
-	}
-	events := spot.EventTrace(mk, j.TargetGPUs, opts.Horizon, opts.Probe)
+// Replay runs one tenant over a given fleet event stream until
+// opts.Horizon: the single-tenant fleet. It is the one execution path
+// of a single-job scenario, whose compiled stream merges the market
+// trace with scripted and chaos events, and of the collapse above.
+// Only opts.Horizon, Trace and Metrics apply. The audit records the
+// stream's allocations as leases and its preemptions as market
+// preemptions.
+func Replay(j *Job, events []spot.Event, opts Options) (*Result, error) {
+	j.observe(opts)
 	points, stats, err := j.Mgr.RunTimeline(events, opts.Horizon)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: job %q: %w", j.Name, err)
@@ -221,4 +212,17 @@ func runSingle(mk *spot.Market, j *Job, opts Options) (*Result, error) {
 		Jobs:  []JobResult{{Name: j.Name, Points: points, Stats: stats, Events: events}},
 		Audit: audit,
 	}, nil
+}
+
+// observe wires the run's trace and metrics sinks into the job's
+// manager, with one "job:<name>" trace track per job. Both the replay
+// and the arbiter attach every job through here.
+func (j *Job) observe(opts Options) {
+	if opts.Trace != nil {
+		j.Mgr.Opts.Trace = opts.Trace
+		j.Mgr.Opts.TraceTrack = opts.Trace.Track("job:" + j.Name)
+	}
+	if opts.Metrics != nil {
+		j.Mgr.Opts.Metrics = opts.Metrics
+	}
 }

@@ -95,7 +95,8 @@ type Options struct {
 	// Meter, when non-nil, carries the cost accounting across runs: a
 	// warm-resumed manager passes the meter restored by
 	// restart.LoadSections so cumulative dollars continue instead of
-	// restarting from zero. Nil builds a fresh meter from Prices.
+	// restarting from zero. Each run charges a fresh meter teed into
+	// it. Nil builds a fresh meter from Prices.
 	Meter *price.Meter
 	// Objective selects what morph decisions optimize. The zero value
 	// (max throughput) reproduces the pre-dollar decision rule
@@ -460,13 +461,6 @@ type timelineRun struct {
 	meter    *price.Meter
 	acc      simtime.Time
 	meanRate float64
-	// baseDollars snapshots the meter at run start: a warm meter
-	// (Options.Meter, restored across a restart) arrives with the
-	// prior bill already on it, and this run's Stats and points
-	// report only what THIS replay spent — $/example must divide
-	// this-run dollars by this-run examples.
-	baseDollars [price.NumBuckets]float64
-	baseTotal   float64
 	// released marks VMs voluntarily returned to the market: their
 	// later trace preemptions are no longer ours to observe or pay
 	// for.
@@ -744,7 +738,7 @@ func (r *timelineRun) chargeIdle(to simtime.Time) {
 }
 
 // dollars reports this run's cumulative spend for timeline points.
-func (r *timelineRun) dollars() float64 { return r.meter.Total() - r.baseTotal }
+func (r *timelineRun) dollars() float64 { return r.meter.Total() }
 
 // econ snapshots the economic context of a decision at the current
 // instant.
@@ -1463,18 +1457,17 @@ func (mg *Manager) StartOn(q *simtime.EventQueue, feed Feed, horizon simtime.Dur
 	}
 	switch {
 	case mg.Opts.Meter != nil:
-		// A warm meter carries cumulative spend across manager
-		// restarts (restored by restart.LoadSections).
-		r.meter = mg.Opts.Meter
+		// The run charges a meter of its own teed into Options.Meter: a
+		// warm meter (restored by restart.LoadSections) or a fleet job's
+		// pool tee keeps the cumulative bill, while this run's Stats and
+		// points report exactly what THIS replay spent — $/example must
+		// divide this-run dollars by this-run examples.
+		r.meter = price.NewTeeMeter(mg.Opts.Meter.Curve(), mg.Opts.Meter)
 	case mg.Opts.Prices != nil:
 		r.meter = price.NewMeter(mg.Opts.Prices)
 	}
 	if r.meter != nil {
 		r.meanRate = r.meter.Curve().Mean(0, simtime.Time(horizon))
-		for b := price.Bucket(0); b < price.NumBuckets; b++ {
-			r.baseDollars[b] = r.meter.InBucket(b)
-		}
-		r.baseTotal = r.meter.Total()
 	}
 	if len(mg.Degrade) > 0 {
 		r.degs = append(r.degs, mg.Degrade...)
@@ -1528,10 +1521,10 @@ func (ru *Run) Finish() ([]TimelinePoint, Stats) {
 		r.chargeIdle(r.hz)
 	}
 	if r.meter != nil {
-		r.stats.DollarsSpent = r.meter.Total() - r.baseTotal
-		r.stats.DollarsCompute = r.meter.InBucket(price.Compute) - r.baseDollars[price.Compute]
-		r.stats.DollarsReconfig = r.meter.InBucket(price.Reconfig) - r.baseDollars[price.Reconfig]
-		r.stats.DollarsIdle = r.meter.InBucket(price.Idle) - r.baseDollars[price.Idle]
+		r.stats.DollarsSpent = r.meter.Total()
+		r.stats.DollarsCompute = r.meter.InBucket(price.Compute)
+		r.stats.DollarsReconfig = r.meter.InBucket(price.Reconfig)
+		r.stats.DollarsIdle = r.meter.InBucket(price.Idle)
 	}
 	if r.series != nil {
 		// Emit any cadence ticks between the last event and the horizon,

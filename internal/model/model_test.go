@@ -376,3 +376,23 @@ func TestResNetSimulates(t *testing.T) {
 		t.Fatal("partition must conserve parameters")
 	}
 }
+
+func TestByName(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"GPT2-8.3B", "GPT2-8.3B"},
+		{"gpt2-8.3b", "GPT2-8.3B"},
+		{"gpt2-2.5B", "GPT2-2.5B"},
+		{"bert-large", "BERT-large"},
+		{"BERT-72", "BERT-72"},
+	} {
+		s, ok := ByName(tc.in)
+		if !ok || s.Name != tc.want {
+			t.Errorf("ByName(%q) = %v, %v; want %s", tc.in, s, ok, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "gpt2", "8.3b", "GPT2-8.3B "} {
+		if s, ok := ByName(bad); ok {
+			t.Errorf("ByName(%q) resolved to %s", bad, s.Name)
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package model
 
+import "strings"
+
 // The model zoo mirrors the workloads in the paper's evaluation
 // (§7, "Experimental setup"). Layer counts and hidden sizes are the
 // published configurations: GPT-2 2.5B has 54 layers × H=1920 at
@@ -47,4 +49,15 @@ func Zoo() []*Spec {
 		GPT2Twenty20B(),
 		GPT2TwoHundredB(),
 	}
+}
+
+// ByName resolves a zoo model by name, case-insensitively, so the
+// lower-case "gpt2-8.3b" form the CLIs accept names GPT2-8.3B.
+func ByName(name string) (*Spec, bool) {
+	for _, s := range Zoo() {
+		if strings.EqualFold(s.Name, name) {
+			return s, true
+		}
+	}
+	return nil, false
 }

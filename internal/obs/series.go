@@ -202,15 +202,17 @@ func (s *SeriesSet) Summary(name string) (SeriesSummary, bool) {
 		Min:     vals[0],
 		Max:     vals[len(vals)-1],
 		Mean:    sum / float64(len(vals)),
-		P50:     quantileSorted(vals, 0.50),
-		P99:     quantileSorted(vals, 0.99),
+		P50:     Quantile(vals, 0.50),
+		P99:     Quantile(vals, 0.99),
 		Last:    pts[len(pts)-1].V,
 	}
 	return out, true
 }
 
-// quantileSorted is the nearest-rank quantile of an ascending slice.
-func quantileSorted(vals []float64, q float64) float64 {
+// Quantile is the exact nearest-rank quantile of an ascending slice:
+// the smallest value with at least q of the samples at or below it
+// (index ⌈q·n⌉−1). An empty slice yields 0.
+func Quantile(vals []float64, q float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}

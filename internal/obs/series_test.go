@@ -151,3 +151,36 @@ func TestOpenMetricsStable(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantileNearestRank pins the one exact quantile every summary
+// uses: index ⌈q·n⌉−1 over the sorted samples, so the median of two
+// samples is the lower one.
+func TestQuantileNearestRank(t *testing.T) {
+	seq := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(i + 1)
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		n        int
+		p50, p99 float64
+	}{
+		{1, 1, 1},
+		{2, 1, 2},
+		{4, 2, 4},
+		{100, 50, 99},
+	} {
+		vals := seq(tc.n)
+		if got := Quantile(vals, 0.5); got != tc.p50 {
+			t.Errorf("n=%d: p50 = %v, want %v", tc.n, got, tc.p50)
+		}
+		if got := Quantile(vals, 0.99); got != tc.p99 {
+			t.Errorf("n=%d: p99 = %v, want %v", tc.n, got, tc.p99)
+		}
+	}
+	if got := Quantile(nil, 0.5); got != 0 {
+		t.Errorf("empty: %v, want 0", got)
+	}
+}

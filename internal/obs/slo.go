@@ -151,7 +151,7 @@ func (m *Monitor) aggregate() float64 {
 				vals[j], vals[j-1] = vals[j-1], vals[j]
 			}
 		}
-		return quantileSorted(vals, q)
+		return Quantile(vals, q)
 	}
 }
 

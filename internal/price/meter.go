@@ -56,13 +56,14 @@ type Meter struct {
 // NewMeter builds a meter over the given price curve.
 func NewMeter(c *Curve) *Meter { return &Meter{curve: c} }
 
-// NewTeeMeter builds a per-job meter that mirrors every charge into a
-// shared pool meter: each job reads its own bill off its meter while
-// the pool meter accumulates the fleet-wide bill — per-job metering
-// under a shared bill. The mirrored amount is the exact float computed
-// for the job's own accumulator, so the pool total is the sum of the
-// same charges the jobs saw (in fleet-wide chronological order).
-// Export/Import snapshot only the job's own accumulators.
+// NewTeeMeter builds a meter that mirrors every charge into pool, and
+// on through pool's own tee chain: each job reads its own bill off its
+// meter while the pool meter accumulates the fleet-wide bill, and a
+// run-local meter teed into a restored one keeps the cumulative bill
+// without the run's own figures ever carrying the restored base. The
+// mirrored amount is the exact float computed for the first meter, so
+// every meter in the chain sums the same charges (in chronological
+// order). Export/Import snapshot only the meter's own accumulators.
 func NewTeeMeter(c *Curve, pool *Meter) *Meter { return &Meter{curve: c, tee: pool} }
 
 // Curve reports the curve the meter prices against.
@@ -74,9 +75,8 @@ func (m *Meter) Charge(bucket Bucket, from, to simtime.Time, gpus int) {
 		return
 	}
 	amt := float64(gpus) * m.curve.Integrate(from, to)
-	m.dollars[bucket] += amt
-	if m.tee != nil {
-		m.tee.dollars[bucket] += amt
+	for t := m; t != nil; t = t.tee {
+		t.dollars[bucket] += amt
 	}
 }
 

@@ -3,11 +3,11 @@ package scenario
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/autoconfig"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/hw"
 	"repro/internal/manager"
 	"repro/internal/model"
@@ -22,31 +22,38 @@ import (
 // consumes: a calibrated job, the testbed to measure on, the merged
 // spot-event stream (market churn plus scripted/chaos preemptions),
 // the manager's options and its Degrade/NetDegrade/ObjChange
-// schedules. Compilation is deterministic: the same scenario always
-// compiles to the same inputs, so a replay of the compiled run is
-// bit-identical.
+// schedules. The job, testbed and options (Job, TB, Opts) come from the
+// per-job compile step fleet tenants use too. Compilation is deterministic:
+// the same scenario always compiles to the same inputs, so a replay of
+// the compiled run is bit-identical.
 type Compiled struct {
-	Scenario *Scenario
-	Job      *core.Job
-	TB       *testbed.Testbed
+	compiled
+	jobBuild
 	Events   []spot.Event
-	Opts     manager.Options
 	Degrade  []manager.Degradation
 	NetSched []manager.NetDegradation
 	ObjSched []manager.ObjectiveChange
 	Outages  []manager.DomainOutage
-	Horizon  simtime.Duration
 	// Skipped counts scripted/chaos events dropped because no live VM
 	// was available to victimize at their instant.
 	Skipped int
+}
+
+// compiled is what single-job and fleet scenarios share once
+// compiled: the scenario, its horizon, and the observation state a run
+// wires into its managers.
+type compiled struct {
+	Scenario *Scenario
+	Horizon  simtime.Duration
 	// ScriptEvents counts the scripted+chaos events applied (after
 	// chaos expansion, before victim resolution).
 	ScriptEvents int
 
 	// Series and Monitors are the continuous-telemetry state: created
-	// at Compile when the scenario declares a telemetry or slos block,
-	// or forced on by EnableTelemetry (the exporter commands). Both nil
-	// — the zero-alloc disabled path, byte-identical output — otherwise.
+	// at compile time when the scenario declares a telemetry or slos
+	// block, or forced on by EnableTelemetry (the exporter commands).
+	// Both nil — the zero-alloc disabled path, byte-identical output —
+	// otherwise.
 	Series   *obs.SeriesSet
 	Monitors []*obs.Monitor
 
@@ -57,10 +64,10 @@ type Compiled struct {
 }
 
 // EnableTelemetry creates the series set and attaches the scenario's
-// SLO monitors. Compile calls it when the scenario declares telemetry;
-// the exporter commands call it to force sampling on scenarios that do
-// not. Idempotent.
-func (c *Compiled) EnableTelemetry() {
+// SLO monitors. Compilation calls it when the scenario declares
+// telemetry; the exporter commands call it to force sampling on
+// scenarios that do not. Idempotent.
+func (c *compiled) EnableTelemetry() {
 	if c.Series != nil {
 		return
 	}
@@ -68,26 +75,141 @@ func (c *Compiled) EnableTelemetry() {
 	c.Monitors = buildMonitors(c.Scenario, c.Series)
 }
 
-// Observe attaches a tracer and/or metrics registry to the compiled
-// scenario before Run: spans land on the tracer, registry metrics
+// Observe attaches a tracer and/or metrics registry before Run: spans
+// land on the tracer (one "job:<name>" track per job, after the market
+// and arbiter control tracks in fleet mode), registry metrics
 // (including the "wall."-prefixed self-profiling) on the registry, and
 // the report gains the deterministic (SimOnly) snapshot. Either may be
 // nil. With both nil the run is byte-identical to an unobserved one.
-func (c *Compiled) Observe(tr *obs.Tracer, m *obs.Metrics) {
+func (c *compiled) Observe(tr *obs.Tracer, m *obs.Metrics) {
 	c.trace = tr
 	c.met = m
 }
 
-// specByName resolves a model-zoo name case-insensitively, accepting
-// the "gpt2-" shorthand varuna-sim uses.
-func specByName(name string) (*model.Spec, bool) {
-	for _, s := range model.Zoo() {
-		if strings.EqualFold(s.Name, name) ||
-			strings.EqualFold(strings.ReplaceAll(s.Name, "GPT2-", "gpt2-"), name) {
-			return s, true
-		}
+// sample points a manager's options at the run's series set under
+// prefix: none for a single job, "<job>/" in fleet mode. No-op without
+// telemetry.
+func (c *compiled) sample(o *manager.Options, prefix string) {
+	if c.Series == nil {
+		return
 	}
-	return nil, false
+	o.Series, o.SeriesPrefix, o.SampleEvery = c.Series, prefix, telemetrySampleEvery(c.Scenario)
+}
+
+// observed returns o with the run's trace and metrics sinks set, and
+// arms the SLO monitors' breach hooks on them.
+func (c *compiled) observed(o fleet.Options) fleet.Options {
+	o.Trace, o.Metrics = c.trace, c.met
+	if c.Series != nil {
+		attachBreachHooks(c.Monitors, c.trace, c.met)
+	}
+	return o
+}
+
+// gauges publishes one job's planner hit rate and, when priced, its
+// dollar split. label is "" for a single job and "<job>." in fleet
+// mode.
+func (c *compiled) gauges(label string, mg *manager.Manager, st manager.Stats) {
+	if c.met == nil {
+		return
+	}
+	c.met.Gauge("planner."+label+"cost_hit_rate", mg.Plan.Stats().HitRate())
+	if mg.Opts.Prices != nil {
+		c.met.Gauge("dollars."+label+"total", st.DollarsSpent)
+		c.met.Gauge("dollars."+label+"compute", st.DollarsCompute)
+		c.met.Gauge("dollars."+label+"reconfig", st.DollarsReconfig)
+		c.met.Gauge("dollars."+label+"idle", st.DollarsIdle)
+	}
+}
+
+// conclude collects the SLO outcomes (enforce-mode breaches join
+// violations) and the SimOnly snapshot of an observed run: the tail
+// every report shares.
+func (c *compiled) conclude(violations []string) ([]obs.SLOResult, []string, *obs.Snap) {
+	slos, violations := sloResults(c.Monitors, violations)
+	if c.met == nil {
+		return slos, violations, nil
+	}
+	snap := c.met.Snapshot(obs.SimOnly)
+	return slos, violations, &snap
+}
+
+// jobBuild is one job compiled from its scenario fields: the
+// calibrated job, the testbed it measures on and validated manager
+// options.
+type jobBuild struct {
+	Job  *core.Job
+	TB   *testbed.Testbed
+	Opts manager.Options
+	seed int64
+}
+
+// manager builds the job's manager over its job-lifetime planner:
+// every manager a scenario runs comes from here.
+func (b *jobBuild) manager(opts manager.Options) *manager.Manager {
+	return manager.NewWithPlanner(b.Job.Inputs(), b.TB, b.Job.Planner(), opts, b.seed)
+}
+
+// buildJob is the per-job compile step behind both scenario shapes. A
+// single-job scenario passes its job, run and checkpoint blocks; a
+// fleet tenant passes FleetJobSpec.blocks. mk must be pristine: the
+// market gap prior reads its analytic hazard before any trace advances
+// it. A non-nil pool makes the job's meter a tee into that shared bill.
+func buildJob(js JobSpec, rs RunSpec, ck CheckpointSpec, mk *spot.Market, curve *price.Curve, pool *price.Meter) (*jobBuild, error) {
+	spec, ok := model.ByName(js.Model)
+	if !ok {
+		return nil, fmt.Errorf("unknown model %q", js.Model)
+	}
+	vm := hw.NC6v3
+	if js.VMGPUs == 4 {
+		vm = hw.NC24v3
+	}
+	cluster := hw.SpotCluster(vm, js.ClusterGPUs)
+	cluster.Topo = js.Topology.topology()
+	job, err := core.NewJob(spec, cluster, js.Batch, js.Seed)
+	if err != nil {
+		return nil, err
+	}
+	b := &jobBuild{Job: job, TB: job.Testbed(), seed: rs.ManagerSeed}
+	if rs.Testbed == "fresh" {
+		b.TB = testbed.New(cluster, rs.TestbedSeed)
+	}
+
+	opts := manager.DefaultOptions()
+	switch rs.Policy {
+	case "modeled":
+		opts.Policy = manager.PolicyModeled
+	case "constant":
+		opts.Policy = manager.PolicyConstant
+	}
+	opts.Objective = objectiveFor(rs.Objective, rs.DeadlineAt, rs.TargetExamples, rs.Horizon)
+	opts.MeasureStragglers = rs.MeasureStragglers
+	if rs.HeartbeatEvery >= 0 {
+		opts.HeartbeatEvery = rs.HeartbeatEvery
+	}
+	opts.Prices = curve
+	if pool != nil {
+		opts.Meter = price.NewTeeMeter(curve, pool)
+	}
+	if ck.Replicas > 1 {
+		spread := hw.DomainZone
+		switch ck.Spread {
+		case "rack":
+			spread = hw.DomainRack
+		case "region":
+			spread = hw.DomainRegion
+		}
+		opts.Replication = checkpoint.Policy{Replicas: ck.Replicas, Spread: spread}
+	}
+	if rs.GapPrior == "market" {
+		vms := (rs.TargetGPUs + mk.GPUsPerVM - 1) / mk.GPUsPerVM
+		opts.EventGapPrior = mk.ExpectedNextEvent(0, vms)
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	b.Opts = opts
+	return b, nil
 }
 
 func objectiveFor(name string, deadlineAt simtime.Duration, targetExamples float64, horizon simtime.Duration) autoconfig.Objective {
@@ -109,84 +231,22 @@ func objectiveFor(name string, deadlineAt simtime.Duration, targetExamples float
 	}
 }
 
-// compileSingle resolves everything that precedes trace generation —
-// job calibration, testbed choice, price curve, manager options and
-// the market in its pristine (un-traced) state. Compile continues
-// from here by generating the base trace; the fleet parity path hands
-// the pristine market to the arbiter instead, whose single-job
-// collapse generates the identical trace itself.
-func compileSingle(sc *Scenario) (*Compiled, *spot.Market, *price.Curve, error) {
-	spec, ok := specByName(sc.Job.Model)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("scenario %s: unknown model %q", sc.Name, sc.Job.Model)
-	}
-	vm := hw.NC6v3
-	if sc.Job.VMGPUs == 4 {
-		vm = hw.NC24v3
-	}
-	cluster := hw.SpotCluster(vm, sc.Job.ClusterGPUs)
-	if t := sc.Job.Topology; t.Defined() {
-		cluster.Topo = hw.SpotTopology(t.Zones, t.RacksPerZone, t.NodesPerRack)
-		cluster.Topo.ZonesPerRegion = t.ZonesPerRegion
-	}
-	job, err := core.NewJob(spec, cluster, sc.Job.Batch, sc.Job.Seed)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-
-	c := &Compiled{Scenario: sc, Job: job, Horizon: sc.Run.Horizon}
-	switch sc.Run.Testbed {
-	case "fresh":
-		c.TB = testbed.New(cluster, sc.Run.TestbedSeed)
-	default:
-		c.TB = job.Testbed()
-	}
-
-	// Price curve, with scripted/chaos shocks layered on. Shock
-	// windows that overlap compound multiplicatively.
+// compileSingle builds the job and the market in its pristine
+// (un-traced) state. Compile continues from here by generating the
+// base trace; the fleet parity path hands the pristine market to the
+// arbiter instead, whose single-job collapse generates the identical
+// trace itself.
+func compileSingle(sc *Scenario) (*Compiled, *spot.Market, error) {
 	curve, err := buildCurve(sc, sc.Run.Horizon)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-
-	// Manager options.
-	opts := manager.DefaultOptions()
-	switch sc.Run.Policy {
-	case "modeled":
-		opts.Policy = manager.PolicyModeled
-	case "constant":
-		opts.Policy = manager.PolicyConstant
+	mk := sc.Market.market(sc.Job.VMGPUs)
+	b, err := buildJob(sc.Job, sc.Run, sc.Checkpoint, mk, curve, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	opts.Objective = objectiveFor(sc.Run.Objective, sc.Run.DeadlineAt, sc.Run.TargetExamples, sc.Run.Horizon)
-	opts.MeasureStragglers = sc.Run.MeasureStragglers
-	if sc.Run.HeartbeatEvery >= 0 {
-		opts.HeartbeatEvery = sc.Run.HeartbeatEvery
-	}
-	opts.Prices = curve
-	if sc.Checkpoint.Replicas > 1 {
-		spread := hw.DomainZone
-		switch sc.Checkpoint.Spread {
-		case "rack":
-			spread = hw.DomainRack
-		case "region":
-			spread = hw.DomainRegion
-		}
-		opts.Replication = checkpoint.Policy{Replicas: sc.Checkpoint.Replicas, Spread: spread}
-	}
-
-	// Market: the analytic gap prior must be read before the trace is
-	// generated (trace generation advances the market's state), the
-	// same order core.RunOnSpotMarketOpts uses.
-	mk := spot.NewMarket(sc.Job.VMGPUs, sc.Market.BaseCapacity, sc.Market.Seed)
-	if sc.Market.MeanHold > 0 {
-		mk.MeanHold = sc.Market.MeanHold
-	}
-	if sc.Run.GapPrior == "market" {
-		vms := (sc.Run.TargetGPUs + mk.GPUsPerVM - 1) / mk.GPUsPerVM
-		opts.EventGapPrior = mk.ExpectedNextEvent(0, vms)
-	}
-	c.Opts = opts
-	return c, mk, curve, nil
+	return &Compiled{compiled: compiled{Scenario: sc, Horizon: sc.Run.Horizon}, jobBuild: *b}, mk, nil
 }
 
 // Compile resolves a scenario: calibrates the job, generates the
@@ -194,7 +254,7 @@ func compileSingle(sc *Scenario) (*Compiled, *spot.Market, *price.Curve, error) 
 // against the live fleet, and assembles manager options. The job
 // calibration dominates the cost; everything else is cheap.
 func Compile(sc *Scenario) (*Compiled, error) {
-	c, mk, curve, err := compileSingle(sc)
+	c, mk, err := compileSingle(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -209,13 +269,70 @@ func Compile(sc *Scenario) (*Compiled, error) {
 	sort.SliceStable(script, func(i, j int) bool { return script[i].At < script[j].At })
 	c.ScriptEvents = len(script)
 
-	if err := c.merge(base, script, curve); err != nil {
+	if err := c.merge(base, script, c.Opts.Prices); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	if telemetryDeclared(sc) {
 		c.EnableTelemetry()
 	}
 	return c, nil
+}
+
+// blocks restates a fleet tenant as the job and run blocks the per-job
+// compile step reads. What a tenant cannot declare takes the fleet default:
+// the shared VM size and horizon, a flat cluster, the job's own
+// testbed, the default policy and heartbeat, and no straggler
+// measurement.
+func (js FleetJobSpec) blocks(f *FleetSpec) (JobSpec, RunSpec) {
+	job := JobSpec{
+		Model:       js.Model,
+		VMGPUs:      f.VMGPUs,
+		ClusterGPUs: js.ClusterGPUs,
+		Batch:       js.Batch,
+		Seed:        js.Seed,
+	}
+	run := RunSpec{
+		TargetGPUs:     js.TargetGPUs,
+		Horizon:        f.Horizon,
+		ManagerSeed:    js.ManagerSeed,
+		Testbed:        "job",
+		GapPrior:       js.GapPrior,
+		Objective:      js.Objective,
+		DeadlineAt:     js.DeadlineAt,
+		TargetExamples: js.TargetExamples,
+		HeartbeatEvery: -1,
+	}
+	return job, run
+}
+
+// topology builds the failure-domain layout the spec names (the zero,
+// flat topology when it names none).
+func (t TopologySpec) topology() hw.Topology {
+	if !t.Defined() {
+		return hw.Topology{}
+	}
+	topo := hw.SpotTopology(t.Zones, t.RacksPerZone, t.NodesPerRack)
+	topo.ZonesPerRegion = t.ZonesPerRegion
+	return topo
+}
+
+// end is when a net-degrade or price-shock episode stops: after its
+// duration, or at the horizon hz when it has none or outlasts it.
+func (ev Event) end(hz simtime.Duration) simtime.Time {
+	at := simtime.Time(ev.At)
+	if ev.Duration > 0 && at.Add(ev.Duration) < simtime.Time(hz) {
+		return at.Add(ev.Duration)
+	}
+	return simtime.Time(hz)
+}
+
+// market builds the scenario's spot market for vmGPUs-GPU VMs.
+func (m MarketSpec) market(vmGPUs int) *spot.Market {
+	mk := spot.NewMarket(vmGPUs, m.BaseCapacity, m.Seed)
+	if m.MeanHold > 0 {
+		mk.MeanHold = m.MeanHold
+	}
+	return mk
 }
 
 func buildCurve(sc *Scenario, runHorizon simtime.Duration) (*price.Curve, error) {
@@ -254,11 +371,7 @@ func buildCurve(sc *Scenario, runHorizon simtime.Duration) (*price.Curve, error)
 // capacity the provider reclaimed on top of its own churn.
 func (c *Compiled) merge(base []spot.Event, script []Event, curve *price.Curve) error {
 	sc := c.Scenario
-	var topo hw.Topology
-	if t := sc.Job.Topology; t.Defined() {
-		topo = hw.SpotTopology(t.Zones, t.RacksPerZone, t.NodesPerRack)
-		topo.ZonesPerRegion = t.ZonesPerRegion
-	}
+	topo := sc.Job.Topology.topology()
 	seed := sc.Run.VictimSeed
 	if seed == 0 {
 		if sc.Chaos != nil {
@@ -383,17 +496,10 @@ func (c *Compiled) merge(base []spot.Event, script []Event, curve *price.Curve) 
 			}
 			c.Degrade = append(c.Degrade, manager.Degradation{VM: vm, At: at, Factor: ev.Factor})
 		case "net-degrade":
-			end := simtime.Time(c.Horizon)
-			if ev.Duration > 0 && at.Add(ev.Duration) < end {
-				end = at.Add(ev.Duration)
-			}
-			netEps = append(netEps, netEp{at: at, end: end, factor: ev.Factor})
+			netEps = append(netEps, netEp{at: at, end: ev.end(c.Horizon), factor: ev.Factor})
 		case "price-shock":
-			end := simtime.Time(c.Horizon)
-			if ev.Duration > 0 && at.Add(ev.Duration) < end {
-				end = at.Add(ev.Duration)
-			}
-			shocked, err := curve.Scaled(at, end, ev.Factor)
+			// Shock windows that overlap compound multiplicatively.
+			shocked, err := curve.Scaled(at, ev.end(c.Horizon), ev.Factor)
 			if err != nil {
 				return err
 			}

@@ -6,10 +6,7 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/hw"
-	"repro/internal/manager"
 	"repro/internal/obs"
 	"repro/internal/price"
 	"repro/internal/simtime"
@@ -22,50 +19,14 @@ import (
 // and the price curve with compile-time shocks applied. Compilation is
 // deterministic, so a replay of the compiled run is bit-identical.
 type CompiledFleet struct {
-	Scenario *Scenario
-	Market   *spot.Market
-	Jobs     []*fleet.Job
-	Opts     fleet.Options
-	Curve    *price.Curve
-	// PoolMeter is the shared fleet bill; JobMeters[i] is job i's tee
-	// meter (each charge lands on both). Nil without a prices block.
+	compiled
+	Market *spot.Market
+	Jobs   []*fleet.Job
+	Opts   fleet.Options
+	Curve  *price.Curve
+	// PoolMeter is the shared fleet bill every job's meter tees into.
+	// Nil without a prices block.
 	PoolMeter *price.Meter
-	JobMeters []*price.Meter
-	Horizon   simtime.Duration
-	// ScriptEvents counts the scripted events compiled in.
-	ScriptEvents int
-
-	// Series and Monitors are the continuous-telemetry state: created
-	// at CompileFleet when the scenario declares a telemetry or slos
-	// block, or forced on by EnableTelemetry. Both nil otherwise.
-	Series   *obs.SeriesSet
-	Monitors []*obs.Monitor
-
-	// trace/met are the observability hooks Observe attaches; both nil
-	// (fully disabled, bit-identical output) by default.
-	trace *obs.Tracer
-	met   *obs.Metrics
-}
-
-// EnableTelemetry creates the fleet's series set (sampled per job
-// under a "<job>/" prefix) and attaches the scenario's SLO monitors.
-// Idempotent.
-func (c *CompiledFleet) EnableTelemetry() {
-	if c.Series != nil {
-		return
-	}
-	c.Series = obs.NewSeriesSet(telemetryRing(c.Scenario))
-	c.Monitors = buildMonitors(c.Scenario, c.Series)
-}
-
-// Observe attaches a tracer and/or metrics registry to the compiled
-// fleet before Run — the arbiter, the market and every job's manager
-// record into them (one trace track per job, after the market and
-// arbiter control tracks). Either may be nil; with both nil the run is
-// byte-identical to an unobserved one.
-func (c *CompiledFleet) Observe(tr *obs.Tracer, m *obs.Metrics) {
-	c.trace = tr
-	c.met = m
 }
 
 // CompileFleet resolves a fleet-mode scenario: calibrates every job,
@@ -88,62 +49,35 @@ func CompileFleet(sc *Scenario) (*CompiledFleet, error) {
 		if ev.Kind != "price-shock" {
 			continue
 		}
-		at := simtime.Time(ev.At)
-		end := simtime.Time(hz)
-		if ev.Duration > 0 && at.Add(ev.Duration) < end {
-			end = at.Add(ev.Duration)
-		}
-		curve, err = curve.Scaled(at, end, ev.Factor)
+		curve, err = curve.Scaled(simtime.Time(ev.At), ev.end(hz), ev.Factor)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
 	}
 
-	vm := hw.NC6v3
-	if sc.Fleet.VMGPUs == 4 {
-		vm = hw.NC24v3
+	mk := sc.Market.market(sc.Fleet.VMGPUs)
+	c := &CompiledFleet{
+		compiled: compiled{Scenario: sc, Horizon: hz, ScriptEvents: len(sc.Events)},
+		Market:   mk,
+		Curve:    curve,
 	}
-	mk := spot.NewMarket(sc.Fleet.VMGPUs, sc.Market.BaseCapacity, sc.Market.Seed)
-	if sc.Market.MeanHold > 0 {
-		mk.MeanHold = sc.Market.MeanHold
-	}
-
-	c := &CompiledFleet{Scenario: sc, Market: mk, Curve: curve, Horizon: hz, ScriptEvents: len(sc.Events)}
 	if curve != nil {
 		c.PoolMeter = price.NewMeter(curve)
 	}
 	for _, js := range sc.Jobs {
-		spec, ok := specByName(js.Model)
-		if !ok {
-			return nil, fmt.Errorf("scenario %s: job %q: unknown model %q", sc.Name, js.Name, js.Model)
-		}
-		cluster := hw.SpotCluster(vm, js.ClusterGPUs)
-		job, err := core.NewJob(spec, cluster, js.Batch, js.Seed)
+		spec, run := js.blocks(sc.Fleet)
+		b, err := buildJob(spec, run, CheckpointSpec{}, mk, curve, c.PoolMeter)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: job %q: %w", sc.Name, js.Name, err)
 		}
-		opts := manager.DefaultOptions()
-		opts.Objective = objectiveFor(js.Objective, js.DeadlineAt, js.TargetExamples, hz)
-		if js.GapPrior == "market" {
-			vms := (js.TargetGPUs + mk.GPUsPerVM - 1) / mk.GPUsPerVM
-			opts.EventGapPrior = mk.ExpectedNextEvent(0, vms)
-		}
-		var sub *price.Meter
-		if curve != nil {
-			sub = price.NewTeeMeter(curve, c.PoolMeter)
-			opts.Prices = curve
-			opts.Meter = sub
-		}
-		mg := manager.NewWithPlanner(job.Inputs(), job.Testbed(), job.Planner(), opts, js.ManagerSeed)
 		c.Jobs = append(c.Jobs, &fleet.Job{
 			Name:       js.Name,
-			Mgr:        mg,
+			Mgr:        b.manager(b.Opts),
 			TargetGPUs: js.TargetGPUs,
 			MinGPUs:    js.MinGPUs,
 			Priority:   js.Priority,
-			Objective:  opts.Objective,
+			Objective:  b.Opts.Objective,
 		})
-		c.JobMeters = append(c.JobMeters, sub)
 	}
 
 	var pre []fleet.ScriptedPreempt
@@ -175,15 +109,12 @@ func CompileFleet(sc *Scenario) (*CompiledFleet, error) {
 	return c, nil
 }
 
-// FleetJobRun is one job's outcome within a fleet run.
+// FleetJobRun is one job's outcome within a fleet run: its fleet run
+// record plus its own single-job-shaped report, built from its
+// delivered event stream and timeline exactly as a direct run's report
+// would be.
 type FleetJobRun struct {
-	Name   string
-	Points []manager.TimelinePoint
-	Stats  manager.Stats
-	Events []spot.Event
-	// Report is the job's own single-job-shaped report, built from its
-	// delivered event stream and timeline exactly as a direct run's
-	// report would be.
+	fleet.JobResult
 	Report *Report
 }
 
@@ -208,52 +139,26 @@ func RunFleet(sc *Scenario) (*FleetResult, error) {
 // freshly-compiled inputs replay bit-identically.
 func (c *CompiledFleet) Run() (*FleetResult, error) {
 	sc := c.Scenario
-	opts := c.Opts
-	opts.Trace, opts.Metrics = c.trace, c.met
-	if c.Series != nil {
-		opts.Series = c.Series
-		opts.SampleEvery = telemetrySampleEvery(sc)
-		attachBreachHooks(c.Monitors, c.trace, c.met)
+	for _, j := range c.Jobs {
+		c.sample(&j.Mgr.Opts, j.Name+"/")
 	}
-	res, err := fleet.Run(c.Market, c.Jobs, opts)
+	res, err := fleet.Run(c.Market, c.Jobs, c.observed(c.Opts))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	out := &FleetResult{Compiled: c, Audit: res.Audit}
 	for i, jr := range res.Jobs {
-		synth := &Compiled{
-			Scenario: &Scenario{Name: sc.Name + "/" + jr.Name, Description: sc.Description},
-			Horizon:  c.Horizon,
-			Events:   jr.Events,
-			met:      c.met,
-		}
-		synth.ScriptEvents = c.ScriptEvents
 		out.Jobs = append(out.Jobs, FleetJobRun{
-			Name:   jr.Name,
-			Points: jr.Points,
-			Stats:  jr.Stats,
-			Events: jr.Events,
-			Report: buildReport(synth, jr.Points, jr.Stats),
+			JobResult: jr,
+			Report:    buildReport(&c.compiled, sc.Name+"/"+jr.Name, jr, 0),
 		})
-		if c.met != nil {
-			c.met.Gauge("planner."+jr.Name+".cost_hit_rate", c.Jobs[i].Mgr.Plan.Stats().HitRate())
-			if i < len(c.JobMeters) && c.JobMeters[i] != nil {
-				c.met.Gauge("dollars."+jr.Name+".total", c.JobMeters[i].Total())
-				c.met.Gauge("dollars."+jr.Name+".compute", c.JobMeters[i].InBucket(price.Compute))
-				c.met.Gauge("dollars."+jr.Name+".reconfig", c.JobMeters[i].InBucket(price.Reconfig))
-				c.met.Gauge("dollars."+jr.Name+".idle", c.JobMeters[i].InBucket(price.Idle))
-			}
-		}
+		c.gauges(jr.Name+".", c.Jobs[i].Mgr, jr.Stats)
 	}
 	if c.met != nil && c.PoolMeter != nil {
 		c.met.Gauge("dollars.pool", c.PoolMeter.Total())
 	}
 	out.Report = buildFleetReport(c, out)
-	out.Report.SLOs, out.Report.Violations = sloResults(c.Monitors, out.Report.Violations)
-	if c.met != nil {
-		snap := c.met.Snapshot(obs.SimOnly)
-		out.Report.Obs = &snap
-	}
+	out.Report.SLOs, out.Report.Violations, out.Report.Obs = c.conclude(out.Report.Violations)
 	return out, nil
 }
 
@@ -334,16 +239,12 @@ func buildFleetReport(c *CompiledFleet, res *FleetResult) *FleetReport {
 	for _, v := range a.Violations {
 		r.Violations = append(r.Violations, "arbiter: "+v)
 	}
-	for i, jr := range res.Jobs {
+	for _, jr := range res.Jobs {
 		r.Jobs = append(r.Jobs, jr.Report)
 		for _, v := range jr.Report.Violations {
 			r.Violations = append(r.Violations, fmt.Sprintf("job %s: %s", jr.Name, v))
 		}
-		var spent float64
-		if i < len(c.JobMeters) && c.JobMeters[i] != nil {
-			spent = c.JobMeters[i].Total()
-		}
-		r.JobDollars = append(r.JobDollars, spent)
+		r.JobDollars = append(r.JobDollars, jr.Stats.DollarsSpent)
 	}
 	if c.PoolMeter != nil {
 		r.PoolDollars = c.PoolMeter.Total()
@@ -385,25 +286,7 @@ func (r *FleetReport) Summary() string {
 	if r.PoolDollars > 0 {
 		fmt.Fprintf(&b, "pool bill: $%.2f\n", r.PoolDollars)
 	}
-	for _, s := range r.SLOs {
-		status := "OK"
-		if !s.OK {
-			status = fmt.Sprintf("BREACHED %dx (worst %g)", s.Breaches, s.Worst)
-		}
-		fmt.Fprintf(&b, "slo %-24s %s [%s, job %s] — %s\n", s.Name+":", s.Expr, s.Mode, s.Job, status)
-	}
-	if len(r.Violations) == 0 {
-		b.WriteString("invariants: OK\n")
-	} else {
-		fmt.Fprintf(&b, "invariants: %d VIOLATIONS\n", len(r.Violations))
-		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "  - %s\n", v)
-		}
-	}
-	if r.Obs != nil && len(r.Obs.Histograms) > 0 {
-		b.WriteString("obs:\n")
-		b.WriteString(r.Obs.Summary())
-	}
+	summaryTail(&b, r.SLOs, r.Violations, r.Obs)
 	return b.String()
 }
 
@@ -421,20 +304,16 @@ func RunViaFleet(sc *Scenario) (*Result, error) {
 	if len(sc.Events) > 0 || sc.Chaos != nil {
 		return nil, fmt.Errorf("scenario %s: scripted/chaos events cannot run via the fleet collapse", sc.Name)
 	}
-	c, mk, curve, err := compileSingle(sc)
+	c, mk, err := compileSingle(sc)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Opts.Validate(); err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	mg := manager.NewWithPlanner(c.Job.Inputs(), c.TB, c.Job.Planner(), c.Opts, sc.Run.ManagerSeed)
 	res, err := fleet.Run(mk, []*fleet.Job{{
 		Name:       sc.Name,
-		Mgr:        mg,
+		Mgr:        c.manager(c.Opts),
 		TargetGPUs: sc.Run.TargetGPUs,
 		Objective:  c.Opts.Objective,
-	}}, fleet.Options{Horizon: sc.Run.Horizon, Probe: sc.Market.Probe, Prices: curve})
+	}}, fleet.Options{Horizon: sc.Run.Horizon, Probe: sc.Market.Probe, Prices: c.Opts.Prices})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
@@ -444,6 +323,6 @@ func RunViaFleet(sc *Scenario) (*Result, error) {
 		Compiled: c,
 		Points:   jr.Points,
 		Stats:    jr.Stats,
-		Report:   buildReport(c, jr.Points, jr.Stats),
+		Report:   buildReport(&c.compiled, sc.Name, jr, 0),
 	}, nil
 }

@@ -167,3 +167,30 @@ func TestMultiJobDeterministic(t *testing.T) {
 		t.Fatal("multi-job replay is not byte-identical")
 	}
 }
+
+// A deadline job without target-examples is invalid wherever it is
+// declared: buildJob validates every manager's options, so
+// a fleet tenant fails at compile with the same error a single job
+// does, instead of running to "invariants: OK".
+func TestDeadlineWithoutTargetFailsAtCompile(t *testing.T) {
+	const want = "deadline objective needs DeadlineAt and TargetExamples"
+
+	fleetDoc := strings.Replace(miniFleet, "    target-examples: 2e6\n", "", 1)
+	if fleetDoc == miniFleet {
+		t.Fatal("target-examples line not found in the fleet fixture")
+	}
+	_, err := CompileFleet(mustParse(t, fleetDoc))
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), `job "deadline"`) {
+		t.Errorf("fleet: got %v, want a compile error naming job \"deadline\" and %q", err, want)
+	}
+
+	single := strings.Replace(miniScenario, "  measure-stragglers: true\n",
+		"  measure-stragglers: true\n  objective: deadline\n", 1)
+	if single == miniScenario {
+		t.Fatal("measure-stragglers line not found in the single-job fixture")
+	}
+	_, err = Compile(mustParse(t, single))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("single job: got %v, want %q", err, want)
+	}
+}

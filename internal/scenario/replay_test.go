@@ -155,25 +155,14 @@ func TestKillResumeState(t *testing.T) {
 	if got, want := cum.Total(), first.Stats.DollarsSpent+second.Stats.DollarsSpent; !close9(got, want) {
 		t.Errorf("cumulative meter %.9f, want %.9f (both runs)", got, want)
 	}
-	// Warm planner caches must not change decisions: the resumed
-	// replay matches the cold one bit-identically — except the three
-	// dollar-bucket splits, which accumulate on the warm meter's
-	// nonzero base and so differ in the last ulp ((base+x)-base ≠ x).
-	// Those are compared with tolerance; everything else exactly.
-	fs, ss := first.Stats, second.Stats
-	for _, pair := range [][2]float64{
-		{fs.DollarsCompute, ss.DollarsCompute},
-		{fs.DollarsReconfig, ss.DollarsReconfig},
-		{fs.DollarsIdle, ss.DollarsIdle},
-	} {
-		if !close9(pair[0], pair[1]) {
-			t.Errorf("warm-state dollar bucket diverged: %.12f vs %.12f", pair[0], pair[1])
-		}
+	// Warm planner caches must not change decisions, and the resumed
+	// run charges a meter of its own teed into the restored one: its
+	// Stats, dollar buckets included, match the cold run's exactly.
+	if !reflect.DeepEqual(first.Stats, second.Stats) {
+		t.Errorf("warm-state replay diverged:\n%+v\n%+v", first.Stats, second.Stats)
 	}
-	fs.DollarsCompute, fs.DollarsReconfig, fs.DollarsIdle = 0, 0, 0
-	ss.DollarsCompute, ss.DollarsReconfig, ss.DollarsIdle = 0, 0, 0
-	if !reflect.DeepEqual(fs, ss) {
-		t.Errorf("warm-state replay diverged:\n%+v\n%+v", fs, ss)
+	if !reflect.DeepEqual(first.Points, second.Points) {
+		t.Error("warm-state timeline diverged from the cold run's")
 	}
 }
 

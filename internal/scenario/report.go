@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/fleet"
 	"repro/internal/manager"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -98,46 +99,61 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, "recovery:  %d preemptions acknowledged (mean %.0fs, max %.0fs), %d unacknowledged\n",
 			r.Recovery.Acknowledged, r.Recovery.MeanSeconds, r.Recovery.MaxSeconds, r.Recovery.Unacknowledged)
 	}
-	for _, s := range r.SLOs {
+	summaryTail(&b, r.SLOs, r.Violations, r.Obs)
+	return b.String()
+}
+
+// summaryTail renders the lines every summary ends with: SLO outcomes
+// (naming the rule's job in fleet mode), the invariant verdict and the
+// observed run's histograms.
+func summaryTail(b *strings.Builder, slos []obs.SLOResult, violations []string, snap *obs.Snap) {
+	for _, s := range slos {
 		status := "OK"
 		if !s.OK {
 			status = fmt.Sprintf("BREACHED %dx (worst %g)", s.Breaches, s.Worst)
 		}
-		fmt.Fprintf(&b, "slo %-24s %s [%s] — %s\n", s.Name+":", s.Expr, s.Mode, status)
+		mode := s.Mode
+		if s.Job != "" {
+			mode += ", job " + s.Job
+		}
+		fmt.Fprintf(b, "slo %-24s %s [%s] — %s\n", s.Name+":", s.Expr, mode, status)
 	}
-	if len(r.Violations) == 0 {
+	if len(violations) == 0 {
 		b.WriteString("invariants: OK\n")
 	} else {
-		fmt.Fprintf(&b, "invariants: %d VIOLATIONS\n", len(r.Violations))
-		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "  - %s\n", v)
+		fmt.Fprintf(b, "invariants: %d VIOLATIONS\n", len(violations))
+		for _, v := range violations {
+			fmt.Fprintf(b, "  - %s\n", v)
 		}
 	}
-	if r.Obs != nil && len(r.Obs.Histograms) > 0 {
+	if snap != nil && len(snap.Histograms) > 0 {
 		b.WriteString("obs:\n")
-		b.WriteString(r.Obs.Summary())
+		b.WriteString(snap.Summary())
 	}
-	return b.String()
 }
 
-func buildReport(c *Compiled, points []manager.TimelinePoint, stats manager.Stats) *Report {
+// buildReport builds the report of one job's run record. name is the
+// scenario name for a single job, "<scenario>/<job>" for a fleet
+// tenant; skipped counts the scripted events dropped for want of a
+// victim.
+func buildReport(c *compiled, name string, jr fleet.JobResult, skipped int) *Report {
 	r := &Report{
-		Scenario:      c.Scenario.Name,
+		Scenario:      name,
 		Version:       Version,
 		Description:   c.Scenario.Description,
 		HorizonHours:  simtime.Time(c.Horizon).Hours(),
-		MarketEvents:  len(c.Events),
+		MarketEvents:  len(jr.Events),
 		ScriptEvents:  c.ScriptEvents,
-		SkippedEvents: c.Skipped,
-		TimelineLen:   len(points),
-		Stats:         stats,
+		SkippedEvents: skipped,
+		TimelineLen:   len(jr.Points),
+		Stats:         jr.Stats,
 		Violations:    []string{},
 	}
 	if c.Horizon > 0 {
-		r.DowntimeFrac = stats.Downtime.Seconds() / c.Horizon.Seconds()
+		r.DowntimeFrac = jr.Stats.Downtime.Seconds() / c.Horizon.Seconds()
 	}
-	r.Recovery = recoveryStats(c.Events, points, c.met)
-	r.Violations = append(r.Violations, checkInvariants(points, stats)...)
+	r.Recovery = recoveryStats(jr.Events, jr.Points, c.met)
+	r.Violations = append(r.Violations, checkInvariants(jr.Points, jr.Stats)...)
 	return r
 }
 

@@ -3,8 +3,8 @@ package scenario
 import (
 	"fmt"
 
+	"repro/internal/fleet"
 	"repro/internal/manager"
-	"repro/internal/obs"
 	"repro/internal/price"
 	"repro/internal/restart"
 )
@@ -32,49 +32,31 @@ func Run(sc *Scenario, stateDir string) (*Result, error) {
 	return c.Run(stateDir)
 }
 
-// Run executes an already-compiled scenario. Repeated calls replay
-// bit-identically apart from planner-cache warmth, which changes cost
-// but never decisions.
+// Run executes an already-compiled scenario as a one-tenant fleet:
+// the compiled stream replays through fleet.Replay. Repeated calls
+// replay bit-identically apart from planner-cache warmth, which
+// changes cost but never decisions.
 func (c *Compiled) Run(stateDir string) (*Result, error) {
 	sc := c.Scenario
 	opts := c.Opts
-	planner := c.Job.Planner()
-	var meter *price.Meter
 	var sections restart.Sections
 	if stateDir != "" {
-		sections = restart.Sections{restart.SectionPlanner: planner}
+		sections = restart.Sections{restart.SectionPlanner: c.Job.Planner()}
 		if opts.Prices != nil {
-			meter = price.NewMeter(opts.Prices)
-			sections[restart.SectionMeter] = meter
+			opts.Meter = price.NewMeter(opts.Prices)
+			sections[restart.SectionMeter] = opts.Meter
 		}
 		if _, err := restart.LoadSections(stateDir, sections); err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
-		if meter != nil {
-			opts.Meter = meter
-		}
 	}
-	if c.trace != nil {
-		opts.Trace = c.trace
-		opts.TraceTrack = c.trace.Track("job:" + sc.Name)
-	}
-	if c.met != nil {
-		opts.Metrics = c.met
-	}
-	if c.Series != nil {
-		opts.Series = c.Series
-		opts.SampleEvery = telemetrySampleEvery(sc)
-		attachBreachHooks(c.Monitors, c.trace, c.met)
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	mg := manager.NewWithPlanner(c.Job.Inputs(), c.TB, planner, opts, sc.Run.ManagerSeed)
+	c.sample(&opts, "")
+	mg := c.manager(opts)
 	mg.Degrade = c.Degrade
 	mg.NetDegrade = c.NetSched
 	mg.ObjChange = c.ObjSched
 	mg.Outages = c.Outages
-	points, stats, err := mg.RunTimeline(c.Events, c.Horizon)
+	res, err := fleet.Replay(&fleet.Job{Name: sc.Name, Mgr: mg}, c.Events, c.observed(fleet.Options{Horizon: c.Horizon}))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
@@ -83,25 +65,14 @@ func (c *Compiled) Run(stateDir string) (*Result, error) {
 			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
 	}
-	if c.met != nil {
-		c.met.Gauge("planner.cost_hit_rate", planner.Stats().HitRate())
-		if opts.Prices != nil || opts.Meter != nil {
-			c.met.Gauge("dollars.total", stats.DollarsSpent)
-			c.met.Gauge("dollars.compute", stats.DollarsCompute)
-			c.met.Gauge("dollars.reconfig", stats.DollarsReconfig)
-			c.met.Gauge("dollars.idle", stats.DollarsIdle)
-		}
-	}
-	report := buildReport(c, points, stats)
-	report.SLOs, report.Violations = sloResults(c.Monitors, report.Violations)
-	if c.met != nil {
-		snap := c.met.Snapshot(obs.SimOnly)
-		report.Obs = &snap
-	}
+	jr := res.Jobs[0]
+	c.gauges("", mg, jr.Stats)
+	report := buildReport(&c.compiled, sc.Name, jr, c.Skipped)
+	report.SLOs, report.Violations, report.Obs = c.conclude(report.Violations)
 	return &Result{
 		Compiled: c,
-		Points:   points,
-		Stats:    stats,
+		Points:   jr.Points,
+		Stats:    jr.Stats,
 		Report:   report,
 	}, nil
 }
