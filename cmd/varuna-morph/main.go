@@ -175,9 +175,9 @@ func main() {
 			1000*stats.DollarsPerExample(), stats.VMsReleased)
 	}
 	ps := job.Planner().Stats()
-	fmt.Printf("planner: %d sweeps, decision memo %d/%d hits, cost cache %.0f%% hit rate (%d hits, %d misses, %d StageCosts builds, %d anchor sims)\n",
+	fmt.Printf("planner: %d sweeps, decision memo %d/%d hits, cost cache %.0f%% hit rate (%d hits, %d misses, %d StageCosts builds, %d anchor sims, %d candidates pruned)\n",
 		ps.Sweeps, ps.DecisionHits, ps.DecisionHits+ps.DecisionMisses,
-		100*ps.HitRate(), ps.CostHits, ps.CostMisses, ps.CostComputes, ps.SimAnchorRuns)
+		100*ps.HitRate(), ps.CostHits, ps.CostMisses, ps.CostComputes, ps.SimAnchorRuns, ps.CandidatesPruned)
 	if *stateDir != "" {
 		sections := restart.Sections{restart.SectionPlanner: job.Planner()}
 		if meter != nil {

@@ -50,9 +50,9 @@ func TestMetricsExportGolden(t *testing.T) {
 // traceDigests are the SHA-256 digests of `varuna-sim trace <name>`
 // output. The traces run to hundreds of KB, so only digests are kept.
 var traceDigests = map[string]string{
-	"elastic":         "e189bd9296b5261806a24aaf234c4532b6989fad8a8c6353c4f789f1ae6349e9",
-	"region-failover": "563fcb5c93e1890d9c6398c3bf96b3d89323373602df6d1ca3bff28f8777943e",
-	"multi-job":       "4c3bd39c9ec5fa41f96fa94ee40267602912aaf59e5d52fae3d200bc9657940f",
+	"elastic":         "4f2be4b2e965fa3dbc6c5c38adfd49585eddb105acfc2e38d5b6262dd28ecb67",
+	"region-failover": "5fe9e1a69fdba61c2c4a46941e30a00f6481f3b89cdd0381af197417a470d194",
+	"multi-job":       "125327144e2f322e054954d1b2b0cd91dad6ad23c0265618d1300f4a0d9fe6f5",
 }
 
 // TestTraceDigestsPinned pins the Chrome trace export of one

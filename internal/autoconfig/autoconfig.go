@@ -11,6 +11,7 @@ package autoconfig
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -132,6 +133,7 @@ type costCache struct {
 
 	hits, misses             atomic.Uint64
 	costComputes, simAnchors atomic.Uint64
+	pruned                   atomic.Uint64
 }
 
 // costKey scopes entries to the model being planned for: a Planner
@@ -145,7 +147,8 @@ type costKey struct {
 // costEntry is one cached computation. nm records the micro-batch
 // count the estimate was simulated at; a lookup with a different nm
 // (possible only if M_total changed without an invalidation) reuses
-// the costs but re-runs the estimate.
+// the costs but re-runs the estimate. A candidate the sweep pruned
+// without simulating keeps its costs only (nm = 0, est = 0).
 type costEntry struct {
 	costs []sim.StageCosts
 	nm    int
@@ -193,69 +196,82 @@ func (c *costCache) snapshot() map[costKey]*costEntry {
 	return out
 }
 
-// estimate returns the simulated mini-batch time for one fully
-// specified candidate, serving both the StageCosts assembly and the
-// anchor simulations from the cache when the key was seen before. A
-// nil receiver computes without caching (the Evaluate fast path).
-func (c *costCache) estimate(in Inputs, stages []model.Stage, p, m, d, nm int) (simtime.Duration, error) {
-	if c == nil {
-		costs, err := in.Params.StageCosts(in.Spec, stages, m, d, interFlags(p, in.GPUsPerNode))
-		if err != nil {
-			return 0, err
+// stageCosts returns a candidate's cached entry (nil when absent) and
+// its StageCosts, assembling them only on a miss. A nil receiver
+// computes without caching (the Evaluate fast path).
+func (c *costCache) stageCosts(in Inputs, stages []model.Stage, key costKey) (*costEntry, []sim.StageCosts, error) {
+	var e *costEntry
+	if c != nil {
+		if e, _ = c.lookup(key); e != nil {
+			return e, e.costs, nil
 		}
-		return sim.EstimateMakespan(sim.Config{
-			Depth:  p,
-			Micros: nm,
-			Policy: schedule.Varuna,
-			Costs:  costs,
-		})
 	}
-	key := costKey{spec: in.Spec, p: p, m: m, d: d}
-	e, ok := c.lookup(key)
-	if ok && e.nm == nm {
+	costs, err := in.Params.StageCosts(in.Spec, stages, key.m, key.d, interFlags(key.p, in.GPUsPerNode))
+	if err != nil {
+		return nil, nil, err
+	}
+	if c != nil {
+		c.costComputes.Add(1)
+	}
+	return nil, costs, nil
+}
+
+// estimate returns the simulated mini-batch time for one fully
+// specified candidate: from its cached entry e when that was simulated
+// at nm, else by simulation, caching the result. Two workers racing on
+// the same fresh key duplicate the work but store identical values,
+// which keeps the hot path free of per-key latches.
+func (c *costCache) estimate(key costKey, e *costEntry, costs []sim.StageCosts, nm int) (simtime.Duration, error) {
+	if c != nil && e != nil && e.nm == nm {
 		c.hits.Add(1)
 		return e.est, nil
 	}
-	// Miss (or an Nm mismatch): compute what is missing outside the
-	// lock. Two workers racing on the same fresh key duplicate the
-	// work but store identical values, which keeps the hot path free
-	// of per-key latches.
-	c.misses.Add(1)
-	var costs []sim.StageCosts
-	if ok {
-		costs = e.costs
-	} else {
-		var err error
-		costs, err = in.Params.StageCosts(in.Spec, stages, m, d, interFlags(p, in.GPUsPerNode))
-		if err != nil {
-			return 0, err
-		}
-		c.costComputes.Add(1)
+	if c != nil {
+		c.misses.Add(1)
 	}
 	est, err := sim.EstimateMakespan(sim.Config{
-		Depth:  p,
+		Depth:  key.p,
 		Micros: nm,
 		Policy: schedule.Varuna,
 		Costs:  costs,
 	})
-	if err != nil {
-		return 0, err
+	if err != nil || c == nil {
+		return est, err
 	}
 	c.simAnchors.Add(1)
 	c.store(key, &costEntry{costs: costs, nm: nm, est: est})
 	return est, nil
 }
 
+// prune counts a candidate the sweep skipped on its makespan bound and
+// keeps its costs, so a warm cache never assembles them again.
+func (c *costCache) prune(key costKey, e *costEntry, costs []sim.StageCosts) {
+	if c == nil {
+		return
+	}
+	c.pruned.Add(1)
+	if e == nil {
+		c.store(key, &costEntry{costs: costs})
+	}
+}
+
 // Evaluate builds and simulates a single (P, D) candidate, choosing the
 // micro-batch size jointly: m trades kernel efficiency (bigger is
 // better, §4.1) against pipeline efficiency (bigger m means fewer
-// micro-batches and more bubble — constraint 3 of Figure 2). Every
-// memory-feasible profiled size up to the kernel sweet spot is
-// simulated and the fastest wins.
+// micro-batches and more bubble — constraint 3 of Figure 2). The
+// fastest memory-feasible profiled size up to the kernel sweet spot
+// wins.
 func Evaluate(in Inputs, p, d int) (Choice, error) {
 	return evaluate(in, p, d, nil)
 }
 
+// evaluate picks the highest-throughput micro-batch size for (p, d),
+// ties to the smallest m, without simulating sizes that provably
+// cannot win. sim.MakespanLowerBound caps each candidate's throughput;
+// candidates are simulated in descending order of that ceiling, and
+// the rest are skipped once the next ceiling falls strictly below the
+// best throughput simulated so far. The choice is exactly that of
+// simulating every size.
 func evaluate(in Inputs, p, d int, cache *costCache) (Choice, error) {
 	if p < 1 || d < 1 {
 		return Choice{}, fmt.Errorf("autoconfig: bad shape %dx%d", p, d)
@@ -264,33 +280,55 @@ func evaluate(in Inputs, p, d int, cache *costCache) (Choice, error) {
 	if err != nil {
 		return Choice{}, err
 	}
-	sweet := in.Params.PickMicroSize(0.05)
-	candidates := pruneMicroSizes(in, stages, p, d, sweet)
-	var best Choice
-	found := false
-	for _, m := range candidates {
-		nm := GradAccum(in.MTotal, m, d)
-		if !fits(in, stages, m, nm, p) {
-			continue
-		}
-		est, err := cache.estimate(in, stages, p, m, d, nm)
+	type cand struct {
+		c     Choice
+		key   costKey
+		e     *costEntry
+		costs []sim.StageCosts
+		ceil  float64
+	}
+	// pruneMicroSizes keeps memory-feasible sizes only.
+	var cands []cand
+	for _, m := range pruneMicroSizes(in, stages, p, d, in.Params.PickMicroSize(0.05)) {
+		key := costKey{spec: in.Spec, p: p, m: m, d: d}
+		e, costs, err := cache.stageCosts(in, stages, key)
 		if err != nil {
 			return Choice{}, err
 		}
+		nm := GradAccum(in.MTotal, m, d)
 		c := Choice{
 			P: p, D: d, M: m, Nm: nm,
 			Stages:   stages,
-			Est:      est,
+			Est:      sim.MakespanLowerBound(costs, nm),
 			GPUsUsed: p * d,
 			Examples: m * nm * d,
 		}
-		if !found || c.TotalExPerSec() > best.TotalExPerSec() {
-			best = c
-			found = true
+		ceil := math.Inf(1)
+		if c.Est > 0 {
+			ceil = c.TotalExPerSec()
 		}
+		cands = append(cands, cand{c: c, key: key, e: e, costs: costs, ceil: ceil})
 	}
-	if !found {
+	if len(cands) == 0 {
 		return Choice{}, fmt.Errorf("autoconfig: %s does not fit at P=%d on this GPU memory", in.Spec.Name, p)
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].ceil > cands[j].ceil })
+	var best Choice
+	for i, k := range cands {
+		if i > 0 && k.ceil < best.TotalExPerSec() {
+			for _, k := range cands[i:] {
+				cache.prune(k.key, k.e, k.costs)
+			}
+			break
+		}
+		c := k.c
+		if c.Est, err = cache.estimate(k.key, k.e, k.costs, c.Nm); err != nil {
+			return Choice{}, err
+		}
+		if i == 0 || c.TotalExPerSec() > best.TotalExPerSec() ||
+			(c.TotalExPerSec() == best.TotalExPerSec() && c.M < best.M) {
+			best = c
+		}
 	}
 	return best, nil
 }
@@ -353,25 +391,22 @@ func Sweep(in Inputs, g int) ([]Choice, error) {
 	return sweepWorkers(in, g, runtime.GOMAXPROCS(0), nil)
 }
 
-// sweepWorkers is Sweep with an explicit worker count and an optional
-// long-lived cache (nil builds a per-sweep one); workers <= 1
-// evaluates serially. Tests compare the paths for identity.
-func sweepWorkers(in Inputs, g, workers int, cache *costCache) ([]Choice, error) {
-	if g < 1 {
-		return nil, fmt.Errorf("autoconfig: no GPUs")
-	}
+// shape is one (P, D) point of a sweep.
+type shape struct{ p, d int }
+
+// sweepShapes lists the (P, D) points a sweep over g GPUs evaluates,
+// in ascending D. For a fixed data-parallel width D the deepest
+// pipeline that the cut-points allow, P = min(⌊G/D⌋, maxP), strictly
+// dominates shallower ones at the same D: same allreduce cost, fewer
+// idle GPUs. Sweeping the distinct D values therefore covers the
+// configuration space in O(G/P_min) simulator calls instead of
+// O(maxP) — the §4.4 exploration bound.
+func sweepShapes(in Inputs, g int) []shape {
 	maxP := len(in.Cuts) + 1
 	if maxP > g {
 		maxP = g
 	}
-	// For a fixed data-parallel width D the deepest pipeline that the
-	// cut-points allow, P = min(⌊G/D⌋, maxP), strictly dominates
-	// shallower ones at the same D: same allreduce cost, fewer idle
-	// GPUs. Sweeping the distinct D values therefore covers the
-	// configuration space in O(G/P_min) simulator calls instead of
-	// O(maxP) — the §4.4 exploration bound.
-	type cand struct{ p, d int }
-	var cands []cand
+	var out []shape
 	seen := make(map[int]bool)
 	for d := 1; d <= g; d++ {
 		p := g / d
@@ -385,9 +420,19 @@ func sweepWorkers(in Inputs, g, workers int, cache *costCache) ([]Choice, error)
 			continue
 		}
 		seen[p] = true
-		cands = append(cands, cand{p: p, d: g / p})
+		out = append(out, shape{p: p, d: g / p})
 	}
+	return out
+}
 
+// sweepWorkers is Sweep with an explicit worker count and an optional
+// long-lived cache (nil builds a per-sweep one); workers <= 1
+// evaluates serially. Tests compare the paths for identity.
+func sweepWorkers(in Inputs, g, workers int, cache *costCache) ([]Choice, error) {
+	if g < 1 {
+		return nil, fmt.Errorf("autoconfig: no GPUs")
+	}
+	cands := sweepShapes(in, g)
 	choices := make([]Choice, len(cands))
 	errs := make([]error, len(cands))
 	if cache == nil {

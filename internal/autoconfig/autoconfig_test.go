@@ -11,15 +11,25 @@ import (
 
 func inputsFor(t *testing.T, spec *model.Spec, k int) Inputs {
 	t.Helper()
+	in, err := calibratedInputs(spec, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// calibratedInputs calibrates spec on the 300-VM spot cluster with k
+// cut-points, for a 8192-example mini-batch on 16 GiB GPUs.
+func calibratedInputs(spec *model.Spec, k int) (Inputs, error) {
 	cluster := hw.SpotCluster(hw.NC6v3, 300)
 	tb := testbed.New(cluster, 21)
 	params, err := calibrate.Run(spec, tb, calibrate.Options{GPUsPerNode: cluster.VM.GPUs})
 	if err != nil {
-		t.Fatal(err)
+		return Inputs{}, err
 	}
 	cuts, err := model.FindCutPoints(spec, k)
 	if err != nil {
-		t.Fatal(err)
+		return Inputs{}, err
 	}
 	return Inputs{
 		Spec:        spec,
@@ -28,7 +38,7 @@ func inputsFor(t *testing.T, spec *model.Spec, k int) Inputs {
 		GPUMem:      16 << 30,
 		MTotal:      8192,
 		GPUsPerNode: 1,
-	}
+	}, nil
 }
 
 func TestGradAccum(t *testing.T) {

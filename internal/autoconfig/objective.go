@@ -164,8 +164,9 @@ var shrinkLevels = [...]struct{ num, den int }{{1, 1}, {3, 4}, {1, 2}, {1, 4}}
 // model are skipped; duplicates (the same P×D reappears across
 // levels) keep their first, identical evaluation. All sweeps run
 // through the Planner's lifetime caches, so the added levels are
-// cheap arithmetic on a warm planner.
-func (pl *Planner) candidatesFor(g int) ([]Choice, error) {
+// cheap arithmetic on a warm planner. The sweep function seam lets
+// tests run the same assembly over a reference sweep.
+func candidatesFor(g int, sweep func(int) ([]Choice, error)) ([]Choice, error) {
 	seen := make(map[[2]int]bool)
 	var out []Choice
 	var firstErr error
@@ -174,7 +175,7 @@ func (pl *Planner) candidatesFor(g int) ([]Choice, error) {
 		if lg < 1 {
 			continue
 		}
-		cands, err := pl.Sweep(lg)
+		cands, err := sweep(lg)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -385,18 +386,24 @@ func (pl *Planner) bestForEcon(g int, obj Objective, ec Econ) (Choice, float64, 
 		c, err := pl.Best(g)
 		return c, 0, err
 	}
-	cands, err := pl.candidatesFor(g)
+	cands, err := candidatesFor(g, pl.Sweep)
 	if err != nil {
 		return Choice{}, 0, err
 	}
+	c, baseline := selectFor(cands, obj, ec)
+	return c, baseline, nil
+}
+
+// selectFor applies a dollar objective to its candidate set.
+func selectFor(cands []Choice, obj Objective, ec Econ) (Choice, float64) {
 	_, baseline := baselineCost(cands, ec)
 	if math.IsInf(baseline, 1) {
 		baseline = 0
 	}
 	if obj.Kind == ObjDeadline {
-		return deadlineChoice(cands, obj, ec), baseline, nil
+		return deadlineChoice(cands, obj, ec), baseline
 	}
-	return minDollarChoice(cands, ec), baseline, nil
+	return minDollarChoice(cands, ec), baseline
 }
 
 // BestOrHoldObjective is the objective-aware BestOrHold.

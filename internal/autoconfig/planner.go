@@ -207,6 +207,7 @@ func (pl *Planner) Stats() PlannerStats {
 		CostMisses:        pl.cache.misses.Load(),
 		CostComputes:      pl.cache.costComputes.Load(),
 		SimAnchorRuns:     pl.cache.simAnchors.Load(),
+		CandidatesPruned:  pl.cache.pruned.Load(),
 		CostEvictions:     pl.cache.evictions(),
 		DecisionHits:      pl.decHits,
 		DecisionMisses:    pl.decMiss,
@@ -231,6 +232,10 @@ type PlannerStats struct {
 	// SimAnchorRuns counts candidates whose anchor simulations ran
 	// (cache misses that reached the simulator).
 	SimAnchorRuns uint64
+	// CandidatesPruned counts micro-batch candidates a sweep skipped
+	// without simulating: their makespan lower bound already proved
+	// they could not beat a simulated candidate of the same (P, D).
+	CandidatesPruned uint64
 	// CostEvictions counts cost-cache generation rotations (a rotation
 	// drops the oldest generation's keys).
 	CostEvictions uint64
@@ -242,8 +247,8 @@ type PlannerStats struct {
 	Invalidations uint64
 }
 
-// HitRate is the fraction of candidate evaluations served from the
-// cost cache.
+// HitRate is the fraction of simulated candidate evaluations served
+// from the cost cache (pruned candidates are neither hits nor misses).
 func (s PlannerStats) HitRate() float64 {
 	total := s.CostHits + s.CostMisses
 	if total == 0 {

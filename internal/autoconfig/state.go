@@ -31,7 +31,8 @@ type PlannerState struct {
 // plannerStateVersion guards the on-disk format.
 const plannerStateVersion = 1
 
-// CostState is one (p, m, d) cost-cache entry.
+// CostState is one (p, m, d) cost-cache entry. Nm = 0 marks a
+// costs-only entry: a candidate pruned without simulation.
 type CostState struct {
 	P     int              `json:"p"`
 	M     int              `json:"m"`
@@ -39,6 +40,24 @@ type CostState struct {
 	Nm    int              `json:"nm"`
 	Est   simtime.Duration `json:"est"`
 	Costs []sim.StageCosts `json:"costs"`
+}
+
+// validate rejects an entry no sweep could have stored: a cost vector
+// that is not one entry per stage, a simulated estimate (Nm > 0) that
+// is not a positive time, or a costs-only entry (Nm = 0, stored for a
+// pruned candidate) that claims an estimate.
+func (cs CostState) validate() error {
+	switch {
+	case len(cs.Costs) != cs.P:
+		return fmt.Errorf("autoconfig: planner state entry P=%d m=%d D=%d has %d stage costs", cs.P, cs.M, cs.D, len(cs.Costs))
+	case cs.Nm < 0:
+		return fmt.Errorf("autoconfig: planner state entry P=%d m=%d D=%d has Nm=%d", cs.P, cs.M, cs.D, cs.Nm)
+	case cs.Nm > 0 && cs.Est <= 0:
+		return fmt.Errorf("autoconfig: planner state entry P=%d m=%d D=%d has estimate %v at Nm=%d", cs.P, cs.M, cs.D, cs.Est, cs.Nm)
+	case cs.Nm == 0 && cs.Est != 0:
+		return fmt.Errorf("autoconfig: planner state entry P=%d m=%d D=%d is costs-only but has estimate %v", cs.P, cs.M, cs.D, cs.Est)
+	}
+	return nil
 }
 
 // DecisionState is one Best(g) memo entry; Err carries memoized
@@ -124,6 +143,11 @@ func (pl *Planner) ImportState(data []byte) error {
 	}
 	if !sameCuts(st.Cuts, pl.in.Cuts) {
 		return fmt.Errorf("autoconfig: planner state was taken under different cut-points")
+	}
+	for _, cs := range st.Costs {
+		if err := cs.validate(); err != nil {
+			return err
+		}
 	}
 	for _, cs := range st.Costs {
 		key := costKey{spec: pl.in.Spec, p: cs.P, m: cs.M, d: cs.D}

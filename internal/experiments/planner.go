@@ -47,13 +47,14 @@ func PlannerCaching(x *Ctx) (*Table, error) {
 	identical := reflect.DeepEqual(first, second)
 	recomputes := s.CostComputes - afterCold.CostComputes
 	reruns := s.SimAnchorRuns - afterCold.SimAnchorRuns
+	pruned := s.CandidatesPruned - afterCold.CandidatesPruned
 
 	t := &Table{
 		Title:  "Planner: cross-sweep cost caching, 8.3B sweep at G=128",
-		Header: []string{"Sweep", "Wall ms", "Candidates", "StageCosts builds", "Anchor sims"},
+		Header: []string{"Sweep", "Wall ms", "Candidates", "StageCosts builds", "Anchor sims", "m pruned"},
 	}
-	t.Add("1 (cold)", f1(coldMS), fmt.Sprint(len(first)), fmt.Sprint(afterCold.CostComputes), fmt.Sprint(afterCold.SimAnchorRuns))
-	t.Add("2 (cached)", f1(warmMS), fmt.Sprint(len(second)), fmt.Sprint(recomputes), fmt.Sprint(reruns))
+	t.Add("1 (cold)", f1(coldMS), fmt.Sprint(len(first)), fmt.Sprint(afterCold.CostComputes), fmt.Sprint(afterCold.SimAnchorRuns), fmt.Sprint(afterCold.CandidatesPruned))
+	t.Add("2 (cached)", f1(warmMS), fmt.Sprint(len(second)), fmt.Sprint(recomputes), fmt.Sprint(reruns), fmt.Sprint(pruned))
 	speedup := 0.0
 	if warmMS > 0 {
 		speedup = coldMS / warmMS
@@ -62,6 +63,7 @@ func PlannerCaching(x *Ctx) (*Table, error) {
 		fmt.Sprintf("second sweep bit-identical to first: %v", identical),
 		fmt.Sprintf("second sweep %.0fx faster; cost cache hit rate %.0f%% (%d hits, %d misses)",
 			speedup, 100*s.HitRate(), s.CostHits, s.CostMisses),
+		"anchor sims count micro-batch sizes simulated; m pruned counts sizes skipped because their makespan lower bound could not beat a simulated size of the same P×D",
 		"the §4.6 manager keeps one Planner per job, so every morph after the first at a given fleet size pays neither partition costs nor anchor simulations")
 	if !identical {
 		return t, fmt.Errorf("planner: cached sweep diverged from cold sweep")

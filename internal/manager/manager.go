@@ -661,6 +661,7 @@ func (r *timelineRun) tracePlan(dspan obs.SpanID, before autoconfig.PlannerStats
 		obs.I64("sweeps", int64(after.Sweeps-before.Sweeps)),
 		obs.I64("cost_hits", int64(after.CostHits-before.CostHits)),
 		obs.I64("cost_misses", int64(after.CostMisses-before.CostMisses)),
+		obs.I64("candidates_pruned", int64(after.CandidatesPruned-before.CandidatesPruned)),
 		obs.I64("decision_hits", int64(after.DecisionHits-before.DecisionHits)),
 		obs.I64("decision_misses", int64(after.DecisionMisses-before.DecisionMisses)))
 }

@@ -68,7 +68,7 @@ func TestNoTraceGoldenRulePolicy(t *testing.T) {
 }
 
 func TestNoTraceGoldenRuleWithJitter(t *testing.T) {
-	// Jitter exercises the wake/opportunism machinery; the RNG streams
+	// Jitter exercises the arrival/opportunism machinery; the RNG streams
 	// must stay aligned between the traced and no-trace paths.
 	for seed := int64(0); seed < 5; seed++ {
 		cfg := Config{

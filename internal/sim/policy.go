@@ -27,9 +27,7 @@ func (e *executor) tryRule(st *stageState, now simtime.Time) {
 	if st.locked >= 0 {
 		if e.backwardReady(st, st.locked, now) {
 			e.start(st, schedule.Task{Kind: schedule.Backward, Micro: st.locked}, now, e.syncExtra(st, schedule.Task{Kind: schedule.Backward}))
-			return
 		}
-		e.wake(st, st.gradAnnounce[st.locked])
 		return
 	}
 
@@ -96,13 +94,9 @@ func (e *executor) tryRule(st *stageState, now simtime.Time) {
 	// backward can start the instant its gradient lands.
 	if recDue {
 		e.start(st, schedule.Task{Kind: schedule.Recompute, Micro: next}, now, 0)
-		return
 	}
-
-	// Nothing runnable: sleep until the next known arrival.
-	if next >= 0 {
-		e.wake(st, st.gradAnnounce[next])
-	}
+	// Otherwise nothing is runnable: the stage sleeps until its next
+	// input arrives, and every arrival event retries it.
 }
 
 // scaled applies the per-stage straggler factor to a mean duration.
@@ -157,7 +151,6 @@ func (e *executor) tryStrict(st *stageState, now simtime.Time) {
 			e.start(st, schedule.Task{Kind: schedule.Recompute, Micro: m}, now, 0)
 			return
 		}
-		e.wake(st, st.gradAnnounce[m])
 	}
 
 	if !e.cfg.Policy.Opportunistic || st.locked >= 0 {

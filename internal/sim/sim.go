@@ -157,7 +157,6 @@ type stageState struct {
 	fwdHi     int // 1 + highest micro forwarded so far
 	busySum   simtime.Duration
 	lastBwd   simtime.Time
-	wakeAt    simtime.Time // pending scheduled wake (dedupe)
 }
 
 // executor simulates one mini-batch. Instances are pooled: all
@@ -191,7 +190,6 @@ const (
 	evComplete
 	evActArrive
 	evGradArrive
-	evWake
 )
 
 // evA packs an event kind and a stage index into the first callback
@@ -215,12 +213,6 @@ func newExecutor() *executor {
 			e.try(s)
 		case evGradArrive:
 			e.stages[s].gradArrival[b] = e.q.Now()
-			e.try(s)
-		case evWake:
-			st := &e.stages[s]
-			if st.wakeAt == e.q.Now() {
-				st.wakeAt = never
-			}
 			e.try(s)
 		}
 	}
@@ -282,7 +274,6 @@ func (e *executor) reset(cfg Config) {
 			bwdLeft:       nm,
 			bwdLow:        0,
 			fwdHi:         0,
-			wakeAt:        never,
 		}
 		for m := 0; m < nm; m++ {
 			st.gradArrival[m] = never
@@ -375,6 +366,41 @@ func (e *executor) run(cfg Config) (Result, error) {
 	return res, nil
 }
 
+// MakespanLowerBound is a certified lower bound on the Makespan of
+// every deterministic run of nm micro-batches over costs that flushes
+// (allreduce after the pipeline) with all stages at full speed — no
+// jitter, no SpeedFactor — under any policy whose tasks wait for their
+// inputs to land. (A SyncComm policy with OverlapFrac > 0, such as
+// Megatron-1F1B, may start a task mid-transfer and is not covered.)
+// For each stage s:
+//
+//   - s cannot start before micro-batch 0 has been forwarded through
+//     every stage above it: fill_s = Σ_{j<s} (Fwd_j + ActSend_j);
+//   - it then runs Nm forwards and Nm backwards, so its last backward
+//     ends no earlier than end_s = fill_s + Nm·(Fwd_s + Bwd_s), and its
+//     allreduce and optimizer step follow;
+//   - the micro-batch of that last backward still has to carry its
+//     gradient down to stage 0: drain_s = Σ_{j<s} (GradSend_{j+1} +
+//     Bwd_j), then stage 0's allreduce and optimizer step.
+//
+// Recompute is left out: a stage backwards its hot micro-batch without
+// one. The autoconfig sweep uses the bound to skip micro-batch sizes
+// that cannot beat one already simulated.
+func MakespanLowerBound(costs []StageCosts, nm int) simtime.Duration {
+	var fill, drain, lb simtime.Duration
+	tail0 := costs[0].AllReduce + costs[0].Optimizer
+	for s, c := range costs {
+		if s > 0 {
+			up := costs[s-1]
+			fill += up.Fwd + up.ActSend
+			drain += c.GradSend + up.Bwd
+		}
+		end := fill + simtime.Duration(nm)*(c.Fwd+c.Bwd)
+		lb = max(lb, end+c.AllReduce+c.Optimizer, end+drain+tail0)
+	}
+	return lb
+}
+
 func validate(cfg *Config) error {
 	if cfg.Depth < 1 || cfg.Micros < 1 {
 		return fmt.Errorf("sim: bad shape depth=%d micros=%d", cfg.Depth, cfg.Micros)
@@ -433,6 +459,13 @@ func (e *executor) netDur(mean simtime.Duration) simtime.Duration {
 
 // try attempts to start work on stage s; called whenever the stage
 // completes a task or a new input arrives.
+//
+// A stage that cannot start anything needs no timed retry. Its
+// decision depends only on its own state and the clock, and it only
+// ever waits for an input: every input lands through an arrival event
+// that retries it, and a gradient is announced (gradAnnounce) exactly
+// when its arrival event is scheduled for that same instant. So the
+// next retry that can succeed is always already in the queue.
 func (e *executor) try(s int) {
 	st := &e.stages[s]
 	if st.busy || st.bwdLeft == 0 {
@@ -480,8 +513,13 @@ func (e *executor) start(st *stageState, t schedule.Task, now simtime.Time, extr
 		up.gradAnnounce[t.Micro] = arr
 		up.gradSenderEnd[t.Micro] = end
 		e.q.ScheduleCall(arr, e.onEvent, evA(evGradArrive, up.idx), int32(t.Micro))
-		// Wake upstream now so it can plan the recompute.
-		e.q.ScheduleCall(now, e.onEvent, evA(evTry, up.idx), 0)
+		// An idle upstream stage can plan its recompute now. A busy one
+		// sees the announcement when its running task completes (the
+		// completion retries the stage), and upstream cannot be
+		// finished: its own backward of this micro is still ahead.
+		if !up.busy {
+			e.q.ScheduleCall(now, e.onEvent, evA(evTry, up.idx), 0)
+		}
 	}
 
 	e.q.ScheduleCall(end, e.onEvent, evA(evComplete, st.idx), packTask(t))
@@ -575,16 +613,4 @@ func (e *executor) syncExtra(st *stageState, t schedule.Task) simtime.Duration {
 		return 0
 	}
 	return simtime.Duration(float64(xfer)*frac + 0.5)
-}
-
-// wake schedules a retry at t, deduplicating earlier wakes.
-func (e *executor) wake(st *stageState, t simtime.Time) {
-	if t == never || t <= e.q.Now() {
-		return
-	}
-	if st.wakeAt != never && st.wakeAt <= t {
-		return
-	}
-	st.wakeAt = t
-	e.q.ScheduleCall(t, e.onEvent, evA(evWake, st.idx), 0)
 }

@@ -25,6 +25,11 @@ import (
 // everything the executor's future depends on, normalized so that two
 // shift-equivalent states compare equal:
 //
+//   - every stage's cursors and flags (backward and forward frontiers,
+//     in-flight count, busy, hot and locked micro). A stage keeps no
+//     timer of its own: it only ever waits for an input whose arrival
+//     event is already pending (see executor.try), so the queue below
+//     carries all of the future's timing;
 //   - micro-batch indices relative to m0, the lowest backward still
 //     outstanding on any stage;
 //   - times relative to the current clock, with all past instants
@@ -246,7 +251,6 @@ func (ss *steadyState) capture(e *executor, now simtime.Time, m0, hi int) bool {
 			boolBit(st.busy),
 			relMicro(st.hot, m0),
 			relMicro(st.locked, m0),
-			relTime(st.wakeAt, now),
 		)
 	}
 	for i := range e.stages {
@@ -341,7 +345,7 @@ func (ss *steadyState) liveEquals(e *executor, now simtime.Time, m0, hi int) (eq
 		if !match(int64(st.bwdLow-m0)) || !match(nextFwd) ||
 			!match(int64(st.fwdHi-m0)) || !match(int64(st.inFlight)) ||
 			!match(boolBit(st.busy)) || !match(relMicro(st.hot, m0)) ||
-			!match(relMicro(st.locked, m0)) || !match(relTime(st.wakeAt, now)) {
+			!match(relMicro(st.locked, m0)) {
 			return false, true
 		}
 	}
@@ -482,9 +486,6 @@ func (ss *steadyState) fastForward(e *executor, now simtime.Time, m0, hi int) {
 		}
 		if st.locked >= 0 {
 			st.locked += kdm
-		}
-		if st.wakeAt != never {
-			st.wakeAt = st.wakeAt.Add(kdt)
 		}
 		st.lastBwd = st.lastBwd.Add(kdt)
 		st.busySum += simtime.Duration(k) * busyDelta
