@@ -10,9 +10,11 @@
 package autoconfig
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -287,8 +289,8 @@ func evaluate(in Inputs, p, d int, cache *costCache) (Choice, error) {
 		costs []sim.StageCosts
 		ceil  float64
 	}
-	// pruneMicroSizes keeps memory-feasible sizes only.
-	var cands []cand
+	// pruneMicroSizes keeps at most three sizes, all memory-feasible.
+	cands := make([]cand, 0, 3)
 	for _, m := range pruneMicroSizes(in, stages, p, d, in.Params.PickMicroSize(0.05)) {
 		key := costKey{spec: in.Spec, p: p, m: m, d: d}
 		e, costs, err := cache.stageCosts(in, stages, key)
@@ -312,7 +314,7 @@ func evaluate(in Inputs, p, d int, cache *costCache) (Choice, error) {
 	if len(cands) == 0 {
 		return Choice{}, fmt.Errorf("autoconfig: %s does not fit at P=%d on this GPU memory", in.Spec.Name, p)
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].ceil > cands[j].ceil })
+	slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(b.ceil, a.ceil) })
 	var best Choice
 	for i, k := range cands {
 		if i > 0 && k.ceil < best.TotalExPerSec() {

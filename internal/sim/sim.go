@@ -161,8 +161,8 @@ type stageState struct {
 
 // executor simulates one mini-batch. Instances are pooled: all
 // per-stage bookkeeping slices point into the flat timeBuf/boolBuf/
-// orderBuf backing arrays, which are resized (not reallocated) between
-// runs, and the event callbacks are bound once per instance so the
+// orderBuf backing arrays, which are reused (reallocated only when a
+// run outgrows them) between runs, and the event callbacks are bound once per instance so the
 // event queue never wraps a fresh closure on the hot path.
 type executor struct {
 	cfg    Config
@@ -223,20 +223,23 @@ func newExecutor() *executor {
 // packTask encodes a task for the two-int32 event-callback channel.
 func packTask(t schedule.Task) int32 { return int32(t.Kind)<<24 | int32(t.Micro) }
 
-// grab carves n slots off buf, growing it as needed. Slices carved
-// before a growth keep aliasing the old backing array — harmless,
-// since every carved slice is private to one stage.
-func grab[T any](buf *[]T, n int) []T {
-	s := *buf
-	off := len(s)
-	if cap(s)-off < n {
-		grown := make([]T, off, 2*(off+n))
-		copy(grown, s)
-		s = grown
+// sized returns buf emptied, first reallocated with room for 2n when
+// it cannot hold n: a sweep simulates the micro-batch sizes of one
+// shape back to back, and the headroom lets the larger runs that
+// follow reuse the pooled buffer.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, 2*n)
 	}
-	s = s[:off+n]
-	*buf = s
-	return s[off : off+n : off+n]
+	return buf[:0]
+}
+
+// grab carves the next n slots off buf, which reset has sized for the
+// whole run.
+func grab[T any](buf *[]T, n int) []T {
+	off := len(*buf)
+	*buf = (*buf)[:off+n]
+	return (*buf)[off : off+n : off+n]
 }
 
 // reset prepares the pooled executor for a new run of cfg.
@@ -244,9 +247,17 @@ func (e *executor) reset(cfg Config) {
 	e.cfg = cfg
 	e.opport = 0
 	e.q.Reset()
-	e.timeBuf = e.timeBuf[:0]
-	e.boolBuf = e.boolBuf[:0]
-	e.orderBuf = e.orderBuf[:0]
+	nm := cfg.Micros
+	bools, orders := 3*nm, 0
+	if !cfg.Policy.Rule {
+		bools += nm // hasRec
+		for _, o := range cfg.Orders {
+			orders += len(o)
+		}
+	}
+	e.timeBuf = sized(e.timeBuf, 5*cfg.Depth*nm)
+	e.boolBuf = sized(e.boolBuf, cfg.Depth*bools)
+	e.orderBuf = sized(e.orderBuf, orders)
 	e.trace = nil
 	if cfg.CollectTrace {
 		e.trace = make([]TaskSpan, 0, 3*cfg.Depth*cfg.Micros)
@@ -256,7 +267,6 @@ func (e *executor) reset(cfg Config) {
 	} else {
 		e.stages = e.stages[:cfg.Depth]
 	}
-	nm := cfg.Micros
 	for s := 0; s < cfg.Depth; s++ {
 		st := &e.stages[s]
 		*st = stageState{
