@@ -298,7 +298,7 @@ func evaluate(in Inputs, p, d int, cache *costCache) (Choice, error) {
 			return Choice{}, err
 		}
 		nm := GradAccum(in.MTotal, m, d)
-		c := Choice{
+		c := Choice{ // Est holds the bound until the candidate is simulated
 			P: p, D: d, M: m, Nm: nm,
 			Stages:   stages,
 			Est:      sim.MakespanLowerBound(costs, nm),

@@ -161,9 +161,10 @@ type stageState struct {
 
 // executor simulates one mini-batch. Instances are pooled: all
 // per-stage bookkeeping slices point into the flat timeBuf/boolBuf/
-// orderBuf backing arrays, which are reused (reallocated only when a
-// run outgrows them) between runs, and the event callbacks are bound once per instance so the
-// event queue never wraps a fresh closure on the hot path.
+// orderBuf backing arrays, which are reused between runs (reallocated
+// only when a run outgrows them), and the event callbacks are bound
+// once per instance so the event queue never wraps a fresh closure on
+// the hot path.
 type executor struct {
 	cfg    Config
 	q      simtime.EventQueue
