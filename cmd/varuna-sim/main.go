@@ -6,8 +6,9 @@
 // The `run` subcommand is the scenario front door: it executes a
 // declarative scenario file (fleet spec + scripted/chaos event
 // timeline) end-to-end through the §4.6 manager and prints the
-// structured run report. The same file and seeds always replay to a
-// bit-identical timeline.
+// structured run report, then the planner's counters (sweeps, memo
+// and cost-cache hits, candidates pruned) — one line per fleet tenant.
+// The same file and seeds always replay to a bit-identical timeline.
 //
 // Usage:
 //
@@ -30,6 +31,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/autoconfig"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/model"
@@ -90,6 +92,25 @@ type runOutcome struct {
 	violations []string
 	series     *obs.SeriesSet
 	html       func() []byte
+	// planner is the run's planner counter lines (plannerLine), printed
+	// after the summary and never part of the report bytes.
+	planner string
+}
+
+// plannerLine renders a planner's counters after a run — sweeps,
+// decision memo hits, cost-cache hit rate, StageCosts builds, anchor
+// simulations and candidates pruned. They measure how the planner
+// reached its decisions, not the decisions, so they stay out of the
+// deterministic report. job labels a fleet tenant's line; a single job
+// passes "".
+func plannerLine(job string, ps autoconfig.PlannerStats) string {
+	label := "planner:"
+	if job != "" {
+		label = "planner " + job + ":"
+	}
+	return fmt.Sprintf("%s %d sweeps, decision memo %d/%d hits, cost cache %.0f%% hit rate (%d hits, %d misses, %d StageCosts builds, %d anchor sims, %d candidates pruned)\n",
+		label, ps.Sweeps, ps.DecisionHits, ps.DecisionHits+ps.DecisionMisses,
+		100*ps.HitRate(), ps.CostHits, ps.CostMisses, ps.CostComputes, ps.SimAnchorRuns, ps.CandidatesPruned)
 }
 
 // observedRun compiles and executes a scenario with the given
@@ -115,7 +136,8 @@ func observedRun(sc *scenario.Scenario, stateDir string, tr *obs.Tracer, met *ob
 			if err != nil {
 				return nil, err
 			}
-			return &runOutcome{res.Report, res.Report.Violations, cs.Series, res.HTML}, nil
+			return &runOutcome{res.Report, res.Report.Violations, cs.Series, res.HTML,
+				plannerLine("", cs.Job.Planner().Stats())}, nil
 		}
 	} else {
 		if stateDir != "" {
@@ -130,7 +152,11 @@ func observedRun(sc *scenario.Scenario, stateDir string, tr *obs.Tracer, met *ob
 			if err != nil {
 				return nil, err
 			}
-			return &runOutcome{res.Report, res.Report.Violations, cf.Series, res.HTML}, nil
+			var planner strings.Builder
+			for _, j := range cf.Jobs {
+				planner.WriteString(plannerLine(j.Name, j.Mgr.Plan.Stats()))
+			}
+			return &runOutcome{res.Report, res.Report.Violations, cf.Series, res.HTML, planner.String()}, nil
 		}
 	}
 	if forceTelemetry {
@@ -189,6 +215,7 @@ func runScenario(args []string) int {
 		return 1
 	}
 	fmt.Print(out.report.Summary())
+	fmt.Print(out.planner)
 
 	if *traceOut != "" {
 		if err := writeTrace(tr, met, *traceOut); err != nil {

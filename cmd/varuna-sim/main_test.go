@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -199,5 +200,53 @@ func TestMetricsExportCanonical(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("canonical metrics diverged from the golden (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestPlannerLines: `varuna-sim run` prints one planner counter line
+// for a single job and one per tenant for a fleet, and the report
+// bytes stay the committed goldens — the counters never enter the
+// JSON or the HTML report.
+func TestPlannerLines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scenario runs skipped in -short")
+	}
+	for name, want := range map[string][]string{
+		"elastic":   {"planner: "},
+		"multi-job": {"planner deadline: ", "planner dollar: ", "planner batch: "},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sc, err := loadScenario(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := observedRun(sc, "", nil, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSuffix(out.planner, "\n"), "\n")
+			if len(lines) != len(want) {
+				t.Fatalf("%d planner lines, want %d:\n%s", len(lines), len(want), out.planner)
+			}
+			for i, line := range lines {
+				if !strings.HasPrefix(line, want[i]) || !strings.Contains(line, " candidates pruned)") {
+					t.Errorf("line %d = %q, want prefix %q and a pruned-candidate count", i, line, want[i])
+				}
+			}
+			rep, err := out.report.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "scenario", "testdata", "goldens", name+".report.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(append(rep, '\n'), golden) {
+				t.Errorf("report JSON diverged from the golden (%d vs %d bytes)", len(rep)+1, len(golden))
+			}
+			if bytes.Contains(out.html(), []byte("candidates pruned")) {
+				t.Error("planner counters leaked into the HTML report")
+			}
+		})
 	}
 }

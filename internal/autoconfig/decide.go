@@ -67,20 +67,25 @@ type MorphDecision struct {
 	PreemptNext bool
 	// MorphCostPerEx and HoldCostPerEx are the dollars-per-example of
 	// the two paths over the decision window, filled only by the
-	// dollar objectives (BestOrHoldObjective) when both paths produce
-	// examples — the quantities the decision compared.
+	// dollar objectives when both paths produce examples — the
+	// quantities the decision compared.
 	MorphCostPerEx, HoldCostPerEx float64
 }
 
 // BestOrHold is the cost-aware variant of Best: given the currently
 // running configuration, a reconfiguration-cost model and the expected
 // time until the next fleet event (spot-derived), it decides whether
-// morphing to the sweep's best choice for g GPUs pays for itself
-// before the fleet likely changes again.
+// morphing to the objective's choice for g GPUs (BestFor) pays for
+// itself before the fleet likely changes again. A job that is not
+// running always morphs, as does one whose current shape no longer
+// fits the fleet; a same-shape target always holds. The underlying
+// sweep is memoized as usual, so the added decision work is
+// arithmetic, not simulation.
 //
-// The trade is examples: morphing forfeits cur's throughput for the
-// modeled downtime, then earns the throughput gain only over whatever
-// remains of the expected stable window. Hold when
+// Under ObjMaxThroughput the trade is examples: morphing forfeits
+// cur's throughput for the modeled downtime, then earns the throughput
+// gain only over whatever remains of the expected stable window. Hold
+// when
 //
 //	gain × max(0, horizon − downtime)  ≤  cur_throughput × downtime
 //
@@ -92,12 +97,24 @@ type MorphDecision struct {
 // bursts make the EWMA gap an overestimate of the remaining window —
 // so marginal morphs hold. The discount is hz.HoldDiscount, the
 // calibrated hazard-ratio fraction (falling back to ½ while
-// uncalibrated; see Horizon). A job that is not running, or whose current
-// shape no longer fits the fleet, always morphs. The underlying
-// Best(g) is memoized as usual, so the added decision work is
-// arithmetic, not simulation.
-func (pl *Planner) BestOrHold(g int, cur Choice, running bool, rm *restart.Model, hz Horizon, dirty bool) (MorphDecision, error) {
-	best, err := pl.Best(g)
+// uncalibrated; see Horizon).
+//
+// The dollar objectives settle morph-vs-hold by dollar *surplus* over
+// the expected stable window, valuing each example at marginalSlack ×
+// the job's baseline mean-price $/example — the same yardstick
+// BestFor's marginal admission rule uses, so the switch decision
+// cannot contradict the selection (raw $/example comparison would
+// ratchet: a grown fleet always costs more per example than the
+// efficient core, so the fleet would shrink once and never re-grow
+// when the price reverts). Morphing pays the downtime at the current
+// price for the union fleet (old and new capacity overlap while state
+// moves), then accrues the target's surplus over the preempt-discounted
+// remainder; holding accrues the current configuration's surplus with
+// no downtime. A deadline objective additionally forces the morph when
+// the held configuration is too slow for the remaining time but the
+// target is fast enough.
+func (pl *Planner) BestOrHold(g int, cur Choice, running bool, rm *restart.Model, hz Horizon, dirty bool, obj Objective, ec Econ) (MorphDecision, error) {
+	best, baseline, err := pl.bestForEcon(g, obj, ec)
 	if err != nil {
 		return MorphDecision{}, err
 	}
@@ -120,18 +137,37 @@ func (pl *Planner) BestOrHold(g int, cur Choice, running bool, rm *restart.Model
 		// Same shape: nothing to gain from a voluntary restart.
 		return dec, nil
 	}
-	if dec.GainPerSec <= 0 {
+	down := dec.Costs.Total()
+	usable := hz.discounted(max(0, hz.Until-down))
+	if obj.Kind == ObjMaxThroughput {
+		if dec.GainPerSec <= 0 {
+			return dec, nil
+		}
+		earned := dec.GainPerSec * usable.Seconds()
+		forfeited := cur.TotalExPerSec() * down.Seconds()
+		dec.Morph = earned > forfeited
 		return dec, nil
 	}
-	down := dec.Costs.Total()
-	usable := hz.Until - down
-	if usable < 0 {
-		usable = 0
+	if required := requiredRate(obj, ec); required > 0 &&
+		ec.EffectiveExPerSec(cur) < required && ec.EffectiveExPerSec(best) >= required {
+		// Holding forfeits the deadline; the target keeps it.
+		dec.Morph = true
+		return dec, nil
 	}
-	usable = hz.discounted(usable)
-	earned := dec.GainPerSec * usable.Seconds()
-	forfeited := cur.TotalExPerSec() * down.Seconds()
-	dec.Morph = earned > forfeited
+	rate := ec.PerGPUHour / 3600 // $/GPU·s
+	exMorph := ec.EffectiveExPerSec(best) * usable.Seconds()
+	exHold := ec.EffectiveExPerSec(cur) * hz.Until.Seconds()
+	union := max(cur.GPUsUsed, best.GPUsUsed)
+	morphDollars := rate * (float64(union)*down.Seconds() + float64(best.GPUsUsed)*usable.Seconds())
+	holdDollars := rate * float64(cur.GPUsUsed) * hz.Until.Seconds()
+	if exMorph > 0 {
+		dec.MorphCostPerEx = morphDollars / exMorph
+	}
+	if exHold > 0 {
+		dec.HoldCostPerEx = holdDollars / exHold
+	}
+	value := marginalSlack * baseline
+	dec.Morph = value*exMorph-morphDollars > value*exHold-holdDollars
 	return dec, nil
 }
 

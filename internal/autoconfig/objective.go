@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/restart"
 	"repro/internal/simtime"
 )
 
@@ -404,78 +403,4 @@ func selectFor(cands []Choice, obj Objective, ec Econ) (Choice, float64) {
 		return deadlineChoice(cands, obj, ec), baseline
 	}
 	return minDollarChoice(cands, ec), baseline
-}
-
-// BestOrHoldObjective is the objective-aware BestOrHold.
-// ObjMaxThroughput reproduces BestOrHold exactly. The dollar
-// objectives target BestFor's choice and settle morph-vs-hold by
-// dollar *surplus* over the expected stable window, valuing each
-// example at marginalSlack × the job's baseline mean-price
-// $/example — the same yardstick BestFor's marginal admission rule
-// uses, so the switch decision cannot contradict the selection (raw
-// $/example comparison would ratchet: a grown fleet always costs
-// more per example than the efficient core, so the fleet would
-// shrink once and never re-grow when the price reverts). Morphing
-// pays the downtime at the current price for the union fleet (old
-// and new capacity overlap while state moves), then accrues the
-// target's surplus over the preempt-discounted remainder; holding
-// accrues the current configuration's surplus with no downtime. A
-// deadline objective additionally forces the morph when the held
-// configuration is too slow for the remaining time but the target is
-// fast enough.
-func (pl *Planner) BestOrHoldObjective(g int, cur Choice, running bool, rm *restart.Model, hz Horizon, dirty bool, obj Objective, ec Econ) (MorphDecision, error) {
-	if obj.Kind == ObjMaxThroughput {
-		return pl.BestOrHold(g, cur, running, rm, hz, dirty)
-	}
-	best, baseline, err := pl.bestForEcon(g, obj, ec)
-	if err != nil {
-		return MorphDecision{}, err
-	}
-	dec := MorphDecision{Choice: best, Horizon: hz.Until, PreemptNext: hz.PreemptNext}
-	if !running || rm == nil {
-		dec.Morph = true
-		if rm != nil {
-			dec.Costs = rm.Price(restart.Assignment{}, assignmentOf(best), false)
-		}
-		return dec, nil
-	}
-	dec.Costs = rm.Price(assignmentOf(cur), assignmentOf(best), dirty)
-	dec.GainPerSec = best.TotalExPerSec() - cur.TotalExPerSec()
-	if cur.GPUsUsed > g {
-		dec.Morph = true
-		return dec, nil
-	}
-	if best.P == cur.P && best.D == cur.D {
-		return dec, nil
-	}
-	if required := requiredRate(obj, ec); required > 0 &&
-		ec.EffectiveExPerSec(cur) < required && ec.EffectiveExPerSec(best) >= required {
-		// Holding forfeits the deadline; the target keeps it.
-		dec.Morph = true
-		return dec, nil
-	}
-	rate := ec.PerGPUHour / 3600 // $/GPU·s
-	down := dec.Costs.Total()
-	usable := hz.Until - down
-	if usable < 0 {
-		usable = 0
-	}
-	usable = hz.discounted(usable)
-	exMorph := ec.EffectiveExPerSec(best) * usable.Seconds()
-	exHold := ec.EffectiveExPerSec(cur) * hz.Until.Seconds()
-	union := cur.GPUsUsed
-	if best.GPUsUsed > union {
-		union = best.GPUsUsed
-	}
-	morphDollars := rate * (float64(union)*down.Seconds() + float64(best.GPUsUsed)*usable.Seconds())
-	holdDollars := rate * float64(cur.GPUsUsed) * hz.Until.Seconds()
-	if exMorph > 0 {
-		dec.MorphCostPerEx = morphDollars / exMorph
-	}
-	if exHold > 0 {
-		dec.HoldCostPerEx = holdDollars / exHold
-	}
-	value := marginalSlack * baseline
-	dec.Morph = value*exMorph-morphDollars > value*exHold-holdDollars
-	return dec, nil
 }

@@ -178,35 +178,6 @@ func TestBestForMinDollarUsesFewerGPUsOnSpike(t *testing.T) {
 		atMean.P, atMean.D, atMean.GPUsUsed, spike.P, spike.D, spike.GPUsUsed)
 }
 
-// TestBestOrHoldObjectiveDefaultEqualsBestOrHold pins the
-// zero-behavior guarantee at the decision level.
-func TestBestOrHoldObjectiveDefaultEqualsBestOrHold(t *testing.T) {
-	in := inputsFor(t, model.GPT2XL2B(), 53)
-	pl := NewPlanner(in)
-	cur, err := pl.Evaluate(18, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm := restartModelFor(in)
-	for _, hz := range []Horizon{
-		{Until: simtime.Hour},
-		{Until: 20 * simtime.Minute, PreemptNext: true},
-		{Until: 6 * simtime.Hour, PreemptNext: true, HoldDiscount: 0.3},
-	} {
-		want, err := pl.BestOrHold(100, cur, true, rm, hz, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := pl.BestOrHoldObjective(100, cur, true, rm, hz, false, Objective{}, Econ{PerGPUHour: 2.4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("hz %+v: objective path diverged\nwant %+v\ngot  %+v", hz, want, got)
-		}
-	}
-}
-
 // TestHoldDiscountTightensHolds: the same marginal morph that goes
 // through at the legacy ½ discount holds under a burst-calibrated
 // (smaller) one.
@@ -220,7 +191,7 @@ func TestHoldDiscountTightensHolds(t *testing.T) {
 	rm := restartModelFor(in)
 	// Find a horizon where the ½-discounted morph is marginal-but-
 	// profitable, then tighten the discount and expect a hold.
-	base, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: 24 * simtime.Hour}, false)
+	base, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: 24 * simtime.Hour}, false, Objective{}, Econ{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +203,14 @@ func TestHoldDiscountTightensHolds(t *testing.T) {
 	// marginal horizon just above down + 2·forfeited/gain.
 	forfeit := cur.TotalExPerSec() * down.Seconds()
 	marginal := down + simtime.FromSeconds(2.2*forfeit/base.GainPerSec)
-	half, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: marginal, PreemptNext: true}, false)
+	half, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: marginal, PreemptNext: true}, false, Objective{}, Econ{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !half.Morph {
 		t.Skip("morph not profitable even at ½; widen the margin")
 	}
-	tight, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: marginal, PreemptNext: true, HoldDiscount: 0.15}, false)
+	tight, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: marginal, PreemptNext: true, HoldDiscount: 0.15}, false, Objective{}, Econ{})
 	if err != nil {
 		t.Fatal(err)
 	}

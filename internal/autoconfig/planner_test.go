@@ -226,7 +226,7 @@ func restartModelFor(in Inputs) *restart.Model {
 func TestBestOrHoldColdStartMorphs(t *testing.T) {
 	in := inputsFor(t, model.GPT2XL2B(), 53)
 	pl := NewPlanner(in)
-	dec, err := pl.BestOrHold(100, Choice{}, false, restartModelFor(in), Horizon{Until: simtime.Hour}, false)
+	dec, err := pl.BestOrHold(100, Choice{}, false, restartModelFor(in), Horizon{Until: simtime.Hour}, false, Objective{}, Econ{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestBestOrHoldSameShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := pl.BestOrHold(100, cur, true, restartModelFor(in), Horizon{Until: simtime.Hour}, true)
+	dec, err := pl.BestOrHold(100, cur, true, restartModelFor(in), Horizon{Until: simtime.Hour}, true, Objective{}, Econ{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestBestOrHoldWeighsHorizon(t *testing.T) {
 		t.Skip("sweep produced no slower alternative to contrast")
 	}
 	rm := restartModelFor(in)
-	long, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: 24 * simtime.Hour}, false)
+	long, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: 24 * simtime.Hour}, false, Objective{}, Econ{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestBestOrHoldWeighsHorizon(t *testing.T) {
 		t.Fatalf("a 24h stable window must justify %v of downtime for +%.1f ex/s", long.Costs.Total(), long.GainPerSec)
 	}
 	down := long.Costs.Total()
-	short, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: down / 2}, false)
+	short, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: down / 2}, false, Objective{}, Econ{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestBestOrHoldPreemptForecastHolds(t *testing.T) {
 		t.Skip("sweep produced no slower alternative to contrast")
 	}
 	rm := restartModelFor(in)
-	probe, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: 24 * simtime.Hour}, false)
+	probe, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: 24 * simtime.Hour}, false, Objective{}, Econ{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestBestOrHoldPreemptForecastHolds(t *testing.T) {
 	// halving the gain window flips the decision.
 	down := probe.Costs.Total()
 	marginal := down + simtime.Duration(1.5*cur.TotalExPerSec()*down.Seconds()/probe.GainPerSec*float64(simtime.Second))
-	calm, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: marginal}, false)
+	calm, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: marginal}, false, Objective{}, Econ{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestBestOrHoldPreemptForecastHolds(t *testing.T) {
 	if calm.PreemptNext {
 		t.Fatal("decision must record PreemptNext = false")
 	}
-	stormy, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: marginal, PreemptNext: true}, false)
+	stormy, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: marginal, PreemptNext: true}, false, Objective{}, Econ{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestBestOrHoldPreemptForecastHolds(t *testing.T) {
 	}
 	// Forced paths ignore the forecast: a fleet the current shape no
 	// longer fits morphs regardless.
-	forced, err := pl.BestOrHold(cur.GPUsUsed-1, cur, true, rm, Horizon{Until: 0, PreemptNext: true}, false)
+	forced, err := pl.BestOrHold(cur.GPUsUsed-1, cur, true, rm, Horizon{Until: 0, PreemptNext: true}, false, Objective{}, Econ{})
 	if err != nil {
 		t.Fatalf("BestOrHold(%d): %v", cur.GPUsUsed-1, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -68,6 +69,46 @@ type DecisionState struct {
 	Err    string `json:"err,omitempty"`
 }
 
+// validate rejects a memo entry no sweep could have stored, by
+// arithmetic alone (a warm resume must stay cheap): an infeasibility
+// entry that still carries a choice, or a choice whose shape, GPU
+// count, effective batch or estimate is inconsistent with itself, the
+// fleet size G, the job's profiled micro-batch sizes or its mini-batch.
+// ImportState checks the estimate against the rest of the file.
+func (ds DecisionState) validate(in Inputs) error {
+	c := ds.Choice
+	if ds.Err != "" {
+		if c.P != 0 || c.D != 0 || c.M != 0 || c.Nm != 0 || len(c.Stages) != 0 || c.Est != 0 || c.GPUsUsed != 0 || c.Examples != 0 {
+			return fmt.Errorf("autoconfig: planner state decision G=%d is infeasible but holds choice %v", ds.G, c)
+		}
+		return nil
+	}
+	switch {
+	case c.P < 1 || c.D < 1 || c.P > ds.G || c.D > ds.G:
+		return ds.errorf("not a shape on %d GPUs", ds.G)
+	case !slices.Contains(in.Params.MicroSizes, c.M):
+		return ds.errorf("m is not a profiled micro-batch size %v", in.Params.MicroSizes)
+	case len(c.Stages) != c.P:
+		return ds.errorf("%d stages", len(c.Stages))
+	case c.GPUsUsed != c.P*c.D || c.GPUsUsed > ds.G:
+		return ds.errorf("%d GPUs used", c.GPUsUsed)
+	case c.Nm != GradAccum(in.MTotal, c.M, c.D):
+		return ds.errorf("Nm is not the accumulation count %d of a %d-example mini-batch", GradAccum(in.MTotal, c.M, c.D), in.MTotal)
+	case c.Examples != c.M*c.Nm*c.D:
+		return ds.errorf("%d examples, want m·Nm·D = %d", c.Examples, c.M*c.Nm*c.D)
+	case c.Est <= 0:
+		return ds.errorf("estimate %v", c.Est)
+	}
+	return nil
+}
+
+// errorf reports a bad memo entry, naming it.
+func (ds DecisionState) errorf(format string, args ...any) error {
+	c := ds.Choice
+	return fmt.Errorf("autoconfig: planner state decision G=%d (%dx%d m=%d Nm=%d): %s",
+		ds.G, c.P, c.D, c.M, c.Nm, fmt.Sprintf(format, args...))
+}
+
 // ExportState snapshots both caches as deterministic JSON (entries
 // sorted by key). It implements restart.StateCarrier.
 func (pl *Planner) ExportState() ([]byte, error) {
@@ -119,6 +160,8 @@ func (pl *Planner) ExportState() ([]byte, error) {
 // computation would produce, so a warmed Planner stays bit-identical
 // to a cold one — it just skips the recomputation
 // (TestPlannerStateRoundTrip pins zero cost computes after import).
+// Every cost and decision entry is checked before any is stored, so a
+// corrupt snapshot fails the import and leaves the caches untouched.
 func (pl *Planner) ImportState(data []byte) error {
 	var st PlannerState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -144,9 +187,29 @@ func (pl *Planner) ImportState(data []byte) error {
 	if !sameCuts(st.Cuts, pl.in.Cuts) {
 		return fmt.Errorf("autoconfig: planner state was taken under different cut-points")
 	}
+	// A memoized choice carries the estimate of its (P, m, D): the same
+	// as every other choice of that shape, and the one the file's
+	// simulated cost entry for it holds, when there is one.
+	memo := make(map[[3]int]DecisionState)
+	for _, ds := range st.Decisions {
+		if err := ds.validate(pl.in); err != nil {
+			return err
+		}
+		if ds.Err != "" {
+			continue
+		}
+		key := [3]int{ds.Choice.P, ds.Choice.M, ds.Choice.D}
+		if prev, ok := memo[key]; ok && prev.Choice.Est != ds.Choice.Est {
+			return ds.errorf("estimate %v, but decision G=%d holds %v for the same shape", ds.Choice.Est, prev.G, prev.Choice.Est)
+		}
+		memo[key] = ds
+	}
 	for _, cs := range st.Costs {
 		if err := cs.validate(); err != nil {
 			return err
+		}
+		if ds, ok := memo[[3]int{cs.P, cs.M, cs.D}]; ok && cs.Nm > 0 && (cs.Nm != ds.Choice.Nm || cs.Est != ds.Choice.Est) {
+			return ds.errorf("estimate %v, but its cost entry holds Nm=%d estimate %v", ds.Choice.Est, cs.Nm, cs.Est)
 		}
 	}
 	for _, cs := range st.Costs {

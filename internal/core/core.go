@@ -20,6 +20,7 @@ import (
 	"repro/internal/manager"
 	"repro/internal/model"
 	"repro/internal/schedule"
+	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/spot"
 	"repro/internal/testbed"
@@ -124,7 +125,7 @@ func (j *Job) Estimate(c autoconfig.Choice) (simtime.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	return testbed.EstimateWithSim(c.P, c.Nm, costs)
+	return sim.EstimateMakespan(sim.Config{Depth: c.P, Micros: c.Nm, Policy: schedule.Varuna, Costs: costs})
 }
 
 // Measure executes one mini-batch of the configuration on the
@@ -155,30 +156,15 @@ func (j *Job) jobConfig(c autoconfig.Choice) testbed.JobConfig {
 // checkpoint rollbacks on preemption, straggler exclusion (§4.6,
 // Figure 8). The manager plans with the job's lifetime Planner, so
 // morph decisions stay cached across repeated runs on the same Job.
+// A priced market's curve feeds the manager's dollar accounting, and
+// the morph-or-hold horizon is seeded from the market's own analytic
+// hazard — the expected time to the next fleet event for a fleet at
+// the target size — until observed gaps take over.
 func (j *Job) RunOnSpotMarket(mk *spot.Market, targetGPUs int, horizon simtime.Duration, seed int64) ([]manager.TimelinePoint, manager.Stats, error) {
-	return j.RunOnSpotMarketOpts(mk, targetGPUs, horizon, seed, manager.DefaultOptions())
-}
-
-// RunOnSpotMarketOpts is RunOnSpotMarket with explicit manager options
-// (reconfiguration pricing policy, checkpoint cadence, thresholds).
-// When the caller leaves EventGapPrior unset, the morph-or-hold
-// horizon is seeded from the market's own analytic hazard — the
-// expected time to the next fleet event for a fleet at the target
-// size — until observed gaps take over.
-func (j *Job) RunOnSpotMarketOpts(mk *spot.Market, targetGPUs int, horizon simtime.Duration, seed int64, opts manager.Options) ([]manager.TimelinePoint, manager.Stats, error) {
-	if opts.Prices == nil && opts.Meter == nil {
-		// A priced market carries its own curve; dollars are then
-		// accounted (and dollar objectives decidable) without the
-		// caller re-plumbing it.
-		opts.Prices = mk.Prices
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, manager.Stats{}, err
-	}
-	if opts.EventGapPrior <= 0 {
-		vms := (targetGPUs + mk.GPUsPerVM - 1) / mk.GPUsPerVM
-		opts.EventGapPrior = mk.ExpectedNextEvent(0, vms)
-	}
+	opts := manager.DefaultOptions()
+	opts.Prices = mk.Prices
+	vms := (targetGPUs + mk.GPUsPerVM - 1) / mk.GPUsPerVM
+	opts.EventGapPrior = mk.ExpectedNextEvent(0, vms)
 	events := spot.EventTrace(mk, targetGPUs, horizon, 10*simtime.Minute)
 	mg := manager.NewWithPlanner(j.in, j.tb, j.planner, opts, seed)
 	return mg.RunTimeline(events, horizon)

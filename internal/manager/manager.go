@@ -75,9 +75,10 @@ type Options struct {
 	// EventGapPrior seeds the fleet-event gap estimator before any
 	// gap has been observed — the assumed stable-window length of the
 	// first morph-or-hold decisions. Zero defers to the caller:
-	// core.RunOnSpotMarketOpts seeds it from the market's analytic
-	// hazard (spot.Market.ExpectedNextEvent); a bare RunTimeline falls
-	// back to DefaultEventGapPrior.
+	// core.Job.RunOnSpotMarket and a scenario's `gap-prior: market`
+	// seed it from the market's analytic hazard
+	// (spot.Market.ExpectedNextEvent); a bare RunTimeline falls back to
+	// DefaultEventGapPrior.
 	EventGapPrior simtime.Duration
 	// HeartbeatEvery is the cadence at which the manager re-examines
 	// compute heartbeats *between* fleet events. Historically the
@@ -1053,7 +1054,7 @@ func (r *timelineRun) morph(label string, forced bool) {
 			}
 		}
 		var dec autoconfig.MorphDecision
-		dec, err = r.mg.Plan.BestOrHoldObjective(g, r.current, true, r.mg.RM, hz, dirty, obj, r.econ())
+		dec, err = r.mg.Plan.BestOrHold(g, r.current, true, r.mg.RM, hz, dirty, obj, r.econ())
 		if err == nil && !dec.Morph {
 			released := 0
 			if obj.Shrinks() {

@@ -231,33 +231,21 @@ func objectiveFor(name string, deadlineAt simtime.Duration, targetExamples float
 	}
 }
 
-// compileSingle builds the job and the market in its pristine
-// (un-traced) state. Compile continues from here by generating the
-// base trace; the fleet parity path hands the pristine market to the
-// arbiter instead, whose single-job collapse generates the identical
-// trace itself.
-func compileSingle(sc *Scenario) (*Compiled, *spot.Market, error) {
-	curve, err := buildCurve(sc, sc.Run.Horizon)
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	mk := sc.Market.market(sc.Job.VMGPUs)
-	b, err := buildJob(sc.Job, sc.Run, sc.Checkpoint, mk, curve, nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	return &Compiled{compiled: compiled{Scenario: sc, Horizon: sc.Run.Horizon}, jobBuild: *b}, mk, nil
-}
-
 // Compile resolves a scenario: calibrates the job, generates the
 // market's base event trace, expands the chaos spec, resolves victims
 // against the live fleet, and assembles manager options. The job
 // calibration dominates the cost; everything else is cheap.
 func Compile(sc *Scenario) (*Compiled, error) {
-	c, mk, err := compileSingle(sc)
+	curve, err := buildCurve(sc, sc.Run.Horizon)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
+	mk := sc.Market.market(sc.Job.VMGPUs)
+	b, err := buildJob(sc.Job, sc.Run, sc.Checkpoint, mk, curve, nil)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+	}
+	c := &Compiled{compiled: compiled{Scenario: sc, Horizon: sc.Run.Horizon}, jobBuild: *b}
 	base := spot.EventTrace(mk, sc.Run.TargetGPUs, sc.Run.Horizon, sc.Market.Probe)
 
 	// Script: explicit events plus the expanded chaos spec, merged in

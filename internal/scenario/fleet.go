@@ -289,40 +289,3 @@ func (r *FleetReport) Summary() string {
 	summaryTail(&b, r.SLOs, r.Violations, r.Obs)
 	return b.String()
 }
-
-// RunViaFleet executes a single-job scenario through the fleet
-// arbiter instead of the direct market path. With one tenant and no
-// scripted events the arbiter collapses to the pretraced direct path,
-// so the result — timeline, stats and report bytes — is bit-identical
-// to Run's; the scenario parity tests pin exactly that. Scenarios
-// with scripted or chaos events are rejected: their victim-resolution
-// semantics belong to the single-job compiler.
-func RunViaFleet(sc *Scenario) (*Result, error) {
-	if sc.Fleet != nil {
-		return nil, fmt.Errorf("scenario %s: already a fleet scenario; use RunFleet", sc.Name)
-	}
-	if len(sc.Events) > 0 || sc.Chaos != nil {
-		return nil, fmt.Errorf("scenario %s: scripted/chaos events cannot run via the fleet collapse", sc.Name)
-	}
-	c, mk, err := compileSingle(sc)
-	if err != nil {
-		return nil, err
-	}
-	res, err := fleet.Run(mk, []*fleet.Job{{
-		Name:       sc.Name,
-		Mgr:        c.manager(c.Opts),
-		TargetGPUs: sc.Run.TargetGPUs,
-		Objective:  c.Opts.Objective,
-	}}, fleet.Options{Horizon: sc.Run.Horizon, Probe: sc.Market.Probe, Prices: c.Opts.Prices})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	jr := res.Jobs[0]
-	c.Events = jr.Events
-	return &Result{
-		Compiled: c,
-		Points:   jr.Points,
-		Stats:    jr.Stats,
-		Report:   buildReport(&c.compiled, sc.Name, jr, 0),
-	}, nil
-}

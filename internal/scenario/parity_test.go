@@ -105,52 +105,3 @@ func TestSpotDollarsParity(t *testing.T) {
 	}
 	requireParity(t, runCommitted(t, "spot-dollars.yaml"), points, stats)
 }
-
-// TestFleetCollapseParity runs each committed single-job scenario
-// through the fleet arbiter's single-tenant collapse and requires the
-// result — timeline, stats and the rendered report bytes — to be
-// bit-identical to the direct path. The arbiter is a superset of the
-// direct market wiring, never a reinterpretation of it.
-func TestFleetCollapseParity(t *testing.T) {
-	for _, file := range []string{"elastic.yaml", "restart-cost.yaml", "spot-dollars.yaml"} {
-		t.Run(file, func(t *testing.T) {
-			data, err := scenarios.FS.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := Parse(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			direct, err := Run(sc, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc2, err := Parse(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			via, err := RunViaFleet(sc2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(via.Points, direct.Points) {
-				t.Errorf("timeline diverges through the fleet arbiter: %d vs %d points", len(via.Points), len(direct.Points))
-			}
-			if !reflect.DeepEqual(via.Stats, direct.Stats) {
-				t.Errorf("stats diverge through the fleet arbiter:\nfleet  %+v\ndirect %+v", via.Stats, direct.Stats)
-			}
-			dj, err := direct.Report.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			vj, err := via.Report.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(dj) != string(vj) {
-				t.Errorf("report bytes diverge through the fleet arbiter:\nfleet:\n%s\ndirect:\n%s", vj, dj)
-			}
-		})
-	}
-}

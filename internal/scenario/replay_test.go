@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/autoconfig"
 	"repro/internal/price"
 	"repro/internal/restart"
 	"repro/scenarios"
@@ -163,6 +164,56 @@ func TestKillResumeState(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Points, second.Points) {
 		t.Error("warm-state timeline diverged from the cold run's")
+	}
+}
+
+// TestCorruptMemoStateFailsRun: a planner state whose decision memo was
+// hand-edited to claim an impossible throughput must fail the resumed
+// run, not replay into a report that says "invariants: OK".
+func TestCorruptMemoStateFailsRun(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Run(mustParse(t, miniScenario), dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, restart.StateFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var st autoconfig.PlannerState
+	if err := json.Unmarshal(doc[restart.SectionPlanner], &st); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for i := range st.Decisions {
+		if st.Decisions[i].Err == "" {
+			st.Decisions[i].Choice.Est = 1
+			st.Decisions[i].Choice.Examples = 1e12
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("the run memoized no feasible decision")
+	}
+	if doc[restart.SectionPlanner], err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(mustParse(t, miniScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(dir); err == nil || !strings.Contains(err.Error(), "planner state decision G=") {
+		t.Fatalf("corrupt decision memo resumed: %v", err)
 	}
 }
 

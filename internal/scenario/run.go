@@ -21,9 +21,9 @@ type Result struct {
 // Run compiles and executes a scenario. stateDir, when non-empty,
 // warm-starts the planner cache and the cost meter from
 // <dir>/planner-state.json (if present) and persists both after the
-// run — the kill-and-resume discipline varuna-morph uses, so a
-// scenario interrupted and re-run continues its cumulative bill and
-// skips the cold planner sweep.
+// run — the §4.5 kill-and-resume discipline, so a scenario
+// interrupted and re-run continues its cumulative bill and skips the
+// cold planner sweep. A corrupt state file fails the run.
 func Run(sc *Scenario, stateDir string) (*Result, error) {
 	c, err := Compile(sc)
 	if err != nil {

@@ -447,33 +447,22 @@ func TestWorkConservationProperty(t *testing.T) {
 }
 
 func TestEstimateMakespanExtrapolation(t *testing.T) {
-	// Steady-state extrapolation must track the exact simulation
-	// closely for large micro-batch counts.
+	// The estimate is the exact no-trace simulation
+	// (TestSteadyStateEstimateExact pins it against brute force at
+	// depth); a traced config is estimated traceless, and a bad depth
+	// fails.
 	depth := 6
 	costs := UnitCosts(depth, unit)
 	exact, err := Run(Config{Depth: depth, Micros: 200, Policy: schedule.Varuna, Costs: costs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMakespan(Config{Depth: depth, Micros: 200, Policy: schedule.Varuna, Costs: costs})
+	est, err := EstimateMakespan(Config{Depth: depth, Micros: 200, Policy: schedule.Varuna, Costs: costs, CollectTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := float64(est-exact.Makespan) / float64(exact.Makespan)
-	if diff < -0.05 || diff > 0.05 {
-		t.Fatalf("extrapolated %v vs exact %v (%.1f%%)", est, exact.Makespan, diff*100)
-	}
-	// Small Nm takes the exact path.
-	small, err := EstimateMakespan(Config{Depth: depth, Micros: 8, Policy: schedule.Varuna, Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactSmall, err := Run(Config{Depth: depth, Micros: 8, Policy: schedule.Varuna, Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small != exactSmall.Makespan {
-		t.Fatal("small Nm must use the exact simulation")
+	if est != exact.Makespan {
+		t.Fatalf("estimate %v vs exact %v", est, exact.Makespan)
 	}
 	if _, err := EstimateMakespan(Config{Depth: 0}); err == nil {
 		t.Fatal("bad depth must fail")

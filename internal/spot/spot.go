@@ -37,9 +37,8 @@ type Market struct {
 	MeanHold simtime.Duration
 	// Prices is the market's spot price curve in dollars per
 	// GPU-hour. Nil means unpriced — availability dynamics only, the
-	// pre-dollar behavior. core.Job.RunOnSpotMarketOpts forwards a
-	// market's curve into the manager's cost accounting when the
-	// caller didn't supply one explicitly.
+	// pre-dollar behavior. core.Job.RunOnSpotMarket forwards a
+	// market's curve into the manager's cost accounting.
 	Prices *price.Curve
 
 	rng  *simtime.Rand

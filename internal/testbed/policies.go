@@ -3,7 +3,6 @@ package testbed
 import (
 	"repro/internal/schedule"
 	"repro/internal/sim"
-	"repro/internal/simtime"
 )
 
 // varunaPolicy is the default execution discipline of the testbed.
@@ -68,21 +67,4 @@ func (tb *Testbed) gpipeChunk(cfg JobConfig) int {
 	}
 	stashPer := cfg.Spec.BlockActivationBytes() * int64(cfg.M)
 	return sim.GPipeChunk(budget, stashPer, p)
-}
-
-// EstimateWithSim is the counterpart of MeasureMiniBatch on the
-// prediction side: run the parametric simulator (no jitter, mean
-// parameters) over the given calibrated stage costs. Used by Table 7
-// to compare estimate vs measurement.
-func EstimateWithSim(depth, nm int, costs []sim.StageCosts) (simtime.Duration, error) {
-	res, err := sim.Run(sim.Config{
-		Depth:  depth,
-		Micros: nm,
-		Policy: schedule.Varuna,
-		Costs:  costs,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
 }

@@ -150,7 +150,7 @@ func TestCalibratedSimMatchesTestbed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := EstimateWithSim(c.p, nm, costs)
+		est, err := sim.EstimateMakespan(sim.Config{Depth: c.p, Micros: nm, Policy: schedule.Varuna, Costs: costs})
 		if err != nil {
 			t.Fatal(err)
 		}
